@@ -251,6 +251,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "evicted": state.counters.get("evicted", 0),
         "restored": state.counters.get("restored", 0),
         "rejected": counters.get("rejected_ops", 0),
+        "dropped_late": counters.get("dropped_late", 0),
+        "illegal_pairs": state.counters.get("illegal_pairs", 0),
         "seconds": round(seconds, 6),
         "eps": round(n_events / seconds, 2) if seconds > 0 else None,
         "out": args.out,

@@ -14,27 +14,28 @@ import math
 import os
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Set
 
-from scipy.stats import t as _student_t
+from scipy.special import stdtrit
 
-from . import cache as cache_mod
 from .anomaly import ModelBundle, score_processes
 from .cache import CacheState, evict, insert_or_merge, lookup
 from .ingest import WindowBatch
 from .model import FILE, IP, PROCESS, WindowGraph, build_window_graph
-from .stp import (Hopset, IsgParams, MemberRec, fanout, hopset_id, hopset_score,
+from .stp import (Hopset, IsgParams, MemberRec, fanout, hopset_score,
                   importance, isg_hopset, merge_hopsets, steiner_forest)
 
 DEFAULT_GRUBBS_ALPHA = 0.05
 MIN_GRUBBS_POPULATION = 3
 
 
+@lru_cache(maxsize=4096)
 def grubbs_critical(n: int, alpha_g: float) -> float:
     """One-sided max-outlier critical value at significance alpha_g."""
     if n < 3:
         raise ValueError("the test needs at least 3 samples, got %d" % n)
-    tq = _student_t.ppf(1.0 - alpha_g / n, n - 2)
+    tq = float(stdtrit(n - 2, 1.0 - alpha_g / n))  # Student-t quantile
     return ((n - 1) / math.sqrt(n)) * math.sqrt(tq * tq / (n - 2 + tq * tq))
 
 
@@ -178,23 +179,15 @@ def _entity_doc(rec) -> dict:
     return doc
 
 
-def _decorate_hopset(h: Hopset, g: WindowGraph, edge_op: Dict[Tuple[str, str], str]):
+def _decorate_hopset(h: Hopset, g: WindowGraph):
     for n in h.members:
         rec = g.nodes.get(n)
         if rec is not None:
             h.attrs[n] = _entity_doc(rec)
     for e in h.edges:
-        op = edge_op.get(e)
+        op = g.first_op.get(e)
         if op is not None:
             h.edge_ops.setdefault(e, op)
-
-
-def _window_edge_ops(g: WindowGraph) -> Dict[Tuple[str, str], str]:
-    out: Dict[Tuple[str, str], str] = {}
-    for e in g.edges:
-        key = (e.src, e.dst) if e.src < e.dst else (e.dst, e.src)
-        out.setdefault(key, e.op)
-    return out
 
 
 def _alert_signature(h: Hopset) -> str:
@@ -227,6 +220,7 @@ def _build_alert(h: Hopset, hid: str, window_index: int, g_stat: float) -> Alert
 def process_window(batch: WindowBatch, st: DetectorState) -> List[Alert]:
     """Run one detection pass over a sealed window of events."""
     g = build_window_graph(batch.events, batch.window_index)
+    st.counters["illegal_pairs"] = st.counters.get("illegal_pairs", 0) + g.rejected
     if st.scorer is not None:
         scores, tau = st.scorer(g)
     else:
@@ -242,9 +236,8 @@ def process_window(batch: WindowBatch, st: DetectorState) -> List[Alert]:
         hopsets = steiner_window_hopsets(terminals, g, scores, st.params,
                                          batch.window_index, st.algorithm)
     merged = merge_hopsets(hopsets, st.params.theta)
-    edge_op = _window_edge_ops(g)
     for h in merged:
-        _decorate_hopset(h, g, edge_op)
+        _decorate_hopset(h, g)
         for n in sorted(h.members):
             if n not in st.cache.node_index:
                 _, where = lookup(st.cache, n)

@@ -24,6 +24,9 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 _HEX_RE = re.compile(r"[0-9a-f]+\Z")
 
 NEG_TABLE_SIZE = 1 << 20
+# Token vectors memoised per model before the memo is cleared; at
+# d = 64 an entry is under 1 KB.
+TOKEN_MEMO_LIMIT = 1 << 14
 
 
 @dataclass
@@ -86,8 +89,20 @@ class EmbeddingModel:
         self.words = words
         self.buckets = buckets
         self._text_cache: Dict[str, np.ndarray] = {}
+        self._token_memo: Dict[str, np.ndarray] = {}
 
     def token_vector(self, token: str) -> np.ndarray:
+        """Memoized _token_vector; the result is read-only because it is shared."""
+        v = self._token_memo.get(token)
+        if v is None:
+            if len(self._token_memo) >= TOKEN_MEMO_LIMIT:
+                self._token_memo.clear()
+            v = self._token_vector(token)
+            v.flags.writeable = False
+            self._token_memo[token] = v
+        return v
+
+    def _token_vector(self, token: str) -> np.ndarray:
         parts = []
         w = self.words.get(token)
         if w is not None:

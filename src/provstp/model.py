@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Set, Tuple
 
 PROCESS = "process"
 FILE = "file"
@@ -22,14 +21,11 @@ PROCESS_OPS = ("fork", "clone", "execve", "pipe")
 IP_OPS = ("sendto", "recvfrom", "recvmsg", "sendmsg")
 ALL_OPS = frozenset(FILE_OPS + PROCESS_OPS + IP_OPS)
 
-# op -> endpoint kinds as a sorted pair; direction does not matter for legality
-_OP_ENDPOINTS = {}
-for _op in FILE_OPS:
-    _OP_ENDPOINTS[_op] = (FILE, PROCESS)
-for _op in PROCESS_OPS:
-    _OP_ENDPOINTS[_op] = (PROCESS, PROCESS)
-for _op in IP_OPS:
-    _OP_ENDPOINTS[_op] = (IP, PROCESS)
+# (op, src kind, dst kind) for every legal event; direction does not matter
+_LEGAL = frozenset(
+    [(op, k1, k2) for op in FILE_OPS for k1, k2 in ((FILE, PROCESS), (PROCESS, FILE))]
+    + [(op, PROCESS, PROCESS) for op in PROCESS_OPS]
+    + [(op, k1, k2) for op in IP_OPS for k1, k2 in ((IP, PROCESS), (PROCESS, IP))])
 
 
 @dataclass(slots=True)
@@ -66,13 +62,7 @@ class Edge:
 
 def legal_op(op: str, src_kind: str, dst_kind: str) -> bool:
     """True when op is defined for this endpoint kind pair (either direction)."""
-    pair = (src_kind, dst_kind) if src_kind <= dst_kind else (dst_kind, src_kind)
-    return _OP_ENDPOINTS.get(op) == pair
-
-
-@lru_cache(maxsize=1 << 20)
-def _md5_hex(text: str) -> str:
-    return hashlib.md5(text.encode("utf-8")).hexdigest()
+    return (op, src_kind, dst_kind) in _LEGAL
 
 
 def entity_uuid(kind: str, attrs) -> str:
@@ -91,7 +81,7 @@ def entity_uuid(kind: str, attrs) -> str:
         text = "%s:%d:%s:%d" % (attrs.src_ip, attrs.src_port, attrs.dst_ip, attrs.dst_port)
     else:
         raise ValueError("unknown entity kind: %r" % (kind,))
-    return _md5_hex(text)
+    return hashlib.md5(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(slots=True)
@@ -107,7 +97,9 @@ class WindowGraph:
 
     The directed edge multiset keeps parallel edges for forensics; the
     undirected adjacency collapses every (u, v) pair to a single edge of
-    weight 1.  Built single-threaded, then treated as read-only.
+    weight 1, and first_op keeps the op of the first event on each pair,
+    keyed by the pair in sorted order.  Built single-threaded, then
+    treated as read-only.
     """
 
     def __init__(self, window_index: int = 0):
@@ -115,26 +107,31 @@ class WindowGraph:
         self.nodes: Dict[str, NodeRec] = {}
         self.edges: List[Edge] = []
         self.undirected: Dict[str, Set[str]] = {}
+        self.first_op: Dict[Tuple[str, str], str] = {}
         self.rejected = 0  # events whose op was illegal for the endpoint kinds
 
-    def _add_node(self, kind: str, attrs) -> str:
-        nid = entity_uuid(kind, attrs)
-        if nid not in self.nodes:
-            self.nodes[nid] = NodeRec(kind, attrs)
+    def _node(self, nid: str, kind: str, attrs) -> NodeRec:
+        rec = self.nodes.get(nid)
+        if rec is None:
+            rec = self.nodes[nid] = NodeRec(kind, attrs)
             self.undirected[nid] = set()
-        return nid
+        return rec
 
     def add_event(self, ev) -> bool:
+        """Add one event; ev.src_id/dst_id are used when the parser set them."""
         if not legal_op(ev.op, ev.src_kind, ev.dst_kind):
             self.rejected += 1
             return False
-        src = self._add_node(ev.src_kind, ev.src)
-        dst = self._add_node(ev.dst_kind, ev.dst)
-        self.nodes[src].out_degree += 1
-        self.nodes[dst].in_degree += 1
+        src = ev.src_id or entity_uuid(ev.src_kind, ev.src)
+        dst = ev.dst_id or entity_uuid(ev.dst_kind, ev.dst)
+        self._node(src, ev.src_kind, ev.src).out_degree += 1
+        self._node(dst, ev.dst_kind, ev.dst).in_degree += 1
         self.edges.append(Edge(src, dst, ev.op, ev.ts))
-        self.undirected[src].add(dst)
-        self.undirected[dst].add(src)
+        adj = self.undirected[src]
+        if dst not in adj:
+            adj.add(dst)
+            self.undirected[dst].add(src)
+            self.first_op[(src, dst) if src < dst else (dst, src)] = ev.op
         return True
 
     def processes(self) -> List[str]:

@@ -112,7 +112,41 @@ def test_run_benign_stays_quiet(data_dir, model_dir, tmp_path, capsys):
     assert doc["windows"] == 30
     assert doc["events"] == 12000
     assert doc["eps"] > 0
+    assert doc["dropped_late"] == 0 and doc["illegal_pairs"] == 0
     assert glob.glob(str(tmp_path / "out" / "alert-*.json")) == []
+
+
+def test_run_summary_reports_late_and_illegal_events(data_dir, model_dir, tmp_path, capsys):
+    with open(data_dir / "quiet" / "events.jsonl", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    first, last = json.loads(lines[0]), json.loads(lines[-1])
+    late = dict(first)  # the first window was sealed long ago
+    illegal = dict(last, op="fork", dst={"kind": "file", "path": "/tmp/x"})
+    stream = tmp_path / "events.jsonl"
+    stream.write_text("\n".join(lines + [json.dumps(illegal), json.dumps(late)]) + "\n")
+    rc = main(["run", "--input", str(stream), "--model-dir", str(model_dir),
+               "--out", str(tmp_path / "out"), "--store-dir", str(tmp_path / "store")])
+    assert rc == 0
+    doc = read_stdout_json(capsys)
+    assert doc["events"] == 12001
+    assert doc["dropped_late"] == 1
+    assert doc["illegal_pairs"] == 1
+
+
+def test_run_malformed_value_fails_cleanly(data_dir, model_dir, tmp_path, capsys):
+    with open(data_dir / "quiet" / "events.jsonl", encoding="utf-8") as fh:
+        good = fh.readline()
+    bad = json.loads(good)
+    proc = bad["src"] if bad["src"]["kind"] == "process" else bad["dst"]
+    proc["cmdline"] = 5
+    stream = tmp_path / "events.jsonl"
+    stream.write_text(good + json.dumps(bad) + "\n")
+    rc = main(["run", "--input", str(stream), "--model-dir", str(model_dir),
+               "--out", str(tmp_path / "out"), "--store-dir", str(tmp_path / "store")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "run failed: line 2" in err
+    assert "Traceback" not in err
 
 
 def test_run_webshell_alerts_on_campaign(data_dir, model_dir, tmp_path, capsys):

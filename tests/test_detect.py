@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -35,6 +36,16 @@ def test_grubbs_critical_monotone_in_n():
         g = grubbs_critical(n, 0.05)
         assert g > prev
         prev = g
+
+
+def test_grubbs_critical_equals_student_t_ppf_formula():
+    from scipy.stats import t
+
+    for alpha in (0.05, 0.01, 0.1, 0.001):
+        for n in list(range(3, 400)) + [997, 1000, 2500, 5000]:
+            tq = t.ppf(1.0 - alpha / n, n - 2)
+            ref = ((n - 1) / math.sqrt(n)) * math.sqrt(tq * tq / (n - 2 + tq * tq))
+            assert grubbs_critical(n, alpha) == ref, (n, alpha)
 
 
 def test_grubbs_critical_rejects_small_n():

@@ -119,6 +119,18 @@ def test_oov_token_still_embeds_finite():
     assert np.linalg.norm(v) > 0
 
 
+def test_token_vector_memo_returns_direct_values(monkeypatch):
+    from provstp import embed
+
+    monkeypatch.setattr(embed, "TOKEN_MEMO_LIMIT", 2)
+    m = _toy_model()
+    for t in ("alpha", "beta", "alphaness", "alpha", "zzz", "beta", "beta"):
+        v = m.token_vector(t)
+        assert np.array_equal(v, m._token_vector(t))
+        assert not v.flags.writeable
+        assert len(m._token_memo) <= 2
+
+
 def test_embed_sentence_empty_is_zero():
     m = _toy_model()
     assert np.array_equal(embed_sentence(m, []), np.zeros(m.dimension))

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import string
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from provstp.ingest import parse_event
@@ -147,3 +149,54 @@ def test_round_trip_from_jsonl_line():
     g = build_window_graph([ev])
     assert entity_uuid("process", ev.dst) == "c118f5d49c6b9f7a29345b361eba1e87"  # md5("22sh")
     assert len(g.nodes) == 2
+
+
+_PROCS = [_proc(1, "init"), _proc(2, "sh -c x", tid=3), _proc(2, "sh -c y"), _proc(4, "")]
+_FILES = [FileAttrs(path="/etc/passwd"), FileAttrs(path="/tmp/a")]
+_IPS = [IpAttrs(src_ip="10.0.0.1", src_port=5000, dst_ip="10.0.0.2", dst_port=80)]
+_ENTITIES = ([("process", a) for a in _PROCS] + [("file", a) for a in _FILES]
+             + [("ip", a) for a in _IPS])
+
+_event_rows = st.lists(
+    st.tuples(st.sampled_from(sorted(ALL_OPS)),
+              st.integers(0, len(_ENTITIES) - 1), st.integers(0, len(_ENTITIES) - 1)),
+    max_size=40)
+
+
+def _entity_doc(kind, attrs):
+    doc = dataclasses.asdict(attrs)
+    doc.pop("host", None)
+    doc["kind"] = kind
+    return doc
+
+
+def _graph_state(g):
+    nodes = {nid: (r.kind, r.attrs, r.in_degree, r.out_degree) for nid, r in g.nodes.items()}
+    edges = [(e.src, e.dst, e.op, e.ts) for e in g.edges]
+    return nodes, edges, g.undirected, g.first_op, g.rejected
+
+
+@settings(max_examples=80, deadline=None)
+@given(_event_rows)
+def test_interned_parse_builds_same_graph_as_plain_events(rows):
+    lines = [json.dumps({"ts": ts, "op": op, "host": "h1",
+                         "src": _entity_doc(*_ENTITIES[s]), "dst": _entity_doc(*_ENTITIES[d])})
+             for ts, (op, s, d) in enumerate(rows)]
+    table = {}
+    parsed = [parse_event(line, n, table) for n, line in enumerate(lines, start=1)]
+    plain = [dataclasses.replace(ev, src_id="", dst_id="") for ev in parsed]
+    assert all(ev.src_id and ev.dst_id for ev in parsed)
+    assert _graph_state(build_window_graph(parsed)) == _graph_state(build_window_graph(plain))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_event_rows)
+def test_first_op_is_first_event_on_each_pair(rows):
+    events = [_event(op, *_ENTITIES[s], *_ENTITIES[d], ts=ts)
+              for ts, (op, s, d) in enumerate(rows)]
+    g = build_window_graph(events)
+    ref = {}
+    for e in g.edges:
+        ref.setdefault((e.src, e.dst) if e.src < e.dst else (e.dst, e.src), e.op)
+    assert g.first_op == ref
+    assert {tuple(sorted((u, v))) for u, nbrs in g.undirected.items() for v in nbrs} == set(ref)
