@@ -1,101 +1,27 @@
-"""Hot numeric kernels: JIT-compiled loops with vectorized numpy fallbacks.
-
-Set PROVSTP_NO_NUMBA=1 to skip JIT compilation and run the numpy paths.
-Both paths implement the same update order, so results agree to float
-rounding; integer outputs (cluster labels) agree exactly away from
-distance ties.
-"""
+"""Hot numeric kernels, vectorized with numpy: the skip-gram epoch and
+DBSCAN labelling."""
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-USING_NUMBA = os.environ.get("PROVSTP_NO_NUMBA", "0").lower() not in ("1", "true", "yes")
-if USING_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:
-        USING_NUMBA = False
+# perfbench records this flag in its environment report and in its model
+# cache key; every kernel here is numpy.
+USING_NUMBA = False
 
 _M32 = 0xFFFFFFFF
 
 
-def _sgns_epoch_impl(pairs, comp_idx, comp_off, w_in, w_out, neg_table, n_neg, lr, state):
+def sgns_epoch(pairs, comp_idx, comp_off, w_in, w_out, neg_table, n_neg, lr, state):
     """One epoch of skip-gram negative sampling, sequential over pairs.
 
     The input representation of a center token is the mean of its
     composition rows (word row + subword bucket rows) in w_in.  Target
-    rows are snapshotted per pair so duplicate negatives accumulate the
-    same way in both execution paths.  Returns the xorshift32 state.
+    rows are snapshotted per pair, so duplicate negatives see the same
+    rows.  Negatives come from an xorshift32 stream; returns its state.
     """
-    d = w_in.shape[1]
-    tlen = neg_table.shape[0]
-    h = np.empty(d)
-    grad = np.empty(d)
-    rows_buf = np.empty((n_neg + 1, d))
-    targets = np.empty(n_neg + 1, np.int64)
-    labels = np.empty(n_neg + 1)
-    for i in range(pairs.shape[0]):
-        c = pairs[i, 0]
-        o = pairs[i, 1]
-        lo = comp_off[c]
-        hi = comp_off[c + 1]
-        k = hi - lo
-        for j in range(d):
-            h[j] = 0.0
-        for r in range(lo, hi):
-            row = comp_idx[r]
-            for j in range(d):
-                h[j] += w_in[row, j]
-        inv = 1.0 / k
-        for j in range(d):
-            h[j] *= inv
-        targets[0] = o
-        labels[0] = 1.0
-        m = 1
-        for _ in range(n_neg):
-            state = state ^ ((state << 13) & _M32)
-            state = state ^ (state >> 17)
-            state = state ^ ((state << 5) & _M32)
-            t = neg_table[state % tlen]
-            if t == o:
-                continue
-            targets[m] = t
-            labels[m] = 0.0
-            m += 1
-        for s in range(m):
-            t = targets[s]
-            for j in range(d):
-                rows_buf[s, j] = w_out[t, j]
-        for j in range(d):
-            grad[j] = 0.0
-        for s in range(m):
-            dot = 0.0
-            for j in range(d):
-                dot += h[j] * rows_buf[s, j]
-            if dot > 30.0:
-                dot = 30.0
-            elif dot < -30.0:
-                dot = -30.0
-            g = lr * (labels[s] - 1.0 / (1.0 + math.exp(-dot)))
-            for j in range(d):
-                grad[j] += g * rows_buf[s, j]
-            t = targets[s]
-            for j in range(d):
-                w_out[t, j] += g * h[j]
-        gscale = 1.0 / k
-        for r in range(lo, hi):
-            row = comp_idx[r]
-            for j in range(d):
-                w_in[row, j] += grad[j] * gscale
-    return state
-
-
-def _sgns_epoch_numpy(pairs, comp_idx, comp_off, w_in, w_out, neg_table, n_neg, lr, state):
-    """Vectorized-per-pair fallback with the identical sampling sequence."""
     tlen = len(neg_table)
     for i in range(pairs.shape[0]):
         c = pairs[i, 0]
@@ -124,73 +50,22 @@ def _sgns_epoch_numpy(pairs, comp_idx, comp_off, w_in, w_out, neg_table, n_neg, 
     return state
 
 
-def _dbscan_impl(X, eps2, min_pts):
-    """Density clustering over squared Euclidean distance; noise = -1.
+def dbscan_labels(X, eps, min_pts):
+    """Density clustering over Euclidean distance; noise = -1.
 
     Cluster ids follow scan order of the first core point; a border
     point joins the earliest-formed cluster owning a core neighbor.
     """
-    n = X.shape[0]
-    d = X.shape[1]
-    deg = np.zeros(n, np.int64)
-    for i in range(n):
-        cnt = 0
-        for j in range(n):
-            s = 0.0
-            for k in range(d):
-                diff = X[i, k] - X[j, k]
-                s += diff * diff
-            if s <= eps2:
-                cnt += 1
-        deg[i] = cnt
-    indptr = np.zeros(n + 1, np.int64)
-    for i in range(n):
-        indptr[i + 1] = indptr[i] + deg[i]
-    indices = np.empty(indptr[n], np.int64)
-    pos = indptr[:n].copy()
-    for i in range(n):
-        for j in range(n):
-            s = 0.0
-            for k in range(d):
-                diff = X[i, k] - X[j, k]
-                s += diff * diff
-            if s <= eps2:
-                indices[pos[i]] = j
-                pos[i] += 1
-    labels = np.full(n, -1, np.int64)
-    queue = np.empty(n, np.int64)
-    cid = 0
-    for i in range(n):
-        if deg[i] < min_pts or labels[i] != -1:
-            continue
-        labels[i] = cid
-        queue[0] = i
-        qlen = 1
-        qpos = 0
-        while qpos < qlen:
-            u = queue[qpos]
-            qpos += 1
-            for p in range(indptr[u], indptr[u + 1]):
-                v = indices[p]
-                if labels[v] == -1:
-                    labels[v] = cid
-                    if deg[v] >= min_pts:
-                        queue[qlen] = v
-                        qlen += 1
-        cid += 1
-    return labels
-
-
-def _dbscan_numpy(X, eps2, min_pts):
-    """Vectorized fallback with the same label semantics as the loop kernel."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    eps2 = float(eps) * float(eps)
     n = X.shape[0]
     xx = (X * X).sum(axis=1)
     d2 = xx[:, None] + xx[None, :] - 2.0 * (X @ X.T)
     adj = d2 <= eps2
-    core = adj.sum(axis=1) >= min_pts
+    core = adj.sum(axis=1) >= int(min_pts)
     labels = np.full(n, -1, np.int64)
     core_idx = np.flatnonzero(core)
     if core_idx.size == 0:
@@ -212,25 +87,3 @@ def _dbscan_numpy(X, eps2, min_pts):
             if hits.size:
                 labels[i] = ids[hits].min()
     return labels
-
-
-if USING_NUMBA:
-    _sgns_epoch_numba = njit(cache=True)(_sgns_epoch_impl)
-    _dbscan_numba = njit(cache=True)(_dbscan_impl)
-else:
-    _sgns_epoch_numba = None
-    _dbscan_numba = None
-
-
-def sgns_epoch(pairs, comp_idx, comp_off, w_in, w_out, neg_table, n_neg, lr, state):
-    if USING_NUMBA:
-        return _sgns_epoch_numba(pairs, comp_idx, comp_off, w_in, w_out, neg_table, n_neg, lr, state)
-    return _sgns_epoch_numpy(pairs, comp_idx, comp_off, w_in, w_out, neg_table, n_neg, lr, state)
-
-
-def dbscan_labels(X, eps, min_pts):
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    eps2 = float(eps) * float(eps)
-    if USING_NUMBA:
-        return _dbscan_numba(X, eps2, int(min_pts))
-    return _dbscan_numpy(X, eps2, int(min_pts))

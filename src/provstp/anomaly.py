@@ -9,10 +9,12 @@ processes are discounted.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -108,12 +110,7 @@ class VaeModel:
     def save(self, path: str):
         doc = {
             "input_dim": self.input_dim,
-            "config": {
-                "hidden": self.config.hidden, "latent": self.config.latent,
-                "epochs": self.config.epochs, "lr": self.config.lr,
-                "batch_size": self.config.batch_size,
-                "kl_weight": self.config.kl_weight, "seed": self.config.seed,
-            },
+            "config": dataclasses.asdict(self.config),
             "params": {k: self.params[k].tolist() for k in _PARAM_NAMES},
             "epoch_losses": self.epoch_losses,
         }
@@ -154,14 +151,8 @@ def train_vae(vectors: Sequence[np.ndarray], config: VaeConfig = None) -> VaeMod
     return model
 
 
-def reconstruction_error(m: VaeModel, v: np.ndarray) -> float:
-    """Per-dimension MSE between v and its deterministic reconstruction."""
-    x = np.asarray(v, dtype=np.float64).reshape(1, -1)
-    xh = m.reconstruct(x)
-    return float(np.mean((x - xh) ** 2))
-
-
 def reconstruction_errors(m: VaeModel, x: np.ndarray) -> np.ndarray:
+    """Per row of x, the per-dimension MSE against its deterministic reconstruction."""
     x = np.asarray(x, dtype=np.float64)
     xh = m.reconstruct(x)
     return np.mean((x - xh) ** 2, axis=1)
@@ -249,12 +240,13 @@ def calibrate_threshold(historical_as: Sequence[float], source: str = "") -> Ano
 class ModelBundle:
     """Everything the detector needs at inference time."""
 
-    FILES = {
-        "embedding": "embedding.json",
-        "idf": "idf.json",
-        "vae": "vae.json",
-        "stability": "stability.json",
-        "threshold": "threshold.json",
+    # constructor argument -> (file name, artifact class)
+    ARTIFACTS = {
+        "embedding": ("embedding.json", EmbeddingModel),
+        "idf": ("idf.json", IdfTable),
+        "vae": ("vae.json", VaeModel),
+        "stability": ("stability.json", StabilityTable),
+        "threshold": ("threshold.json", AnomalyThreshold),
     }
 
     def __init__(self, embedding: EmbeddingModel, idf: IdfTable, vae: VaeModel,
@@ -266,26 +258,14 @@ class ModelBundle:
         self.threshold = threshold
 
     def save(self, model_dir: str):
-        import os
-
         os.makedirs(model_dir, exist_ok=True)
-        self.embedding.save(os.path.join(model_dir, self.FILES["embedding"]))
-        self.idf.save(os.path.join(model_dir, self.FILES["idf"]))
-        self.vae.save(os.path.join(model_dir, self.FILES["vae"]))
-        self.stability.save(os.path.join(model_dir, self.FILES["stability"]))
-        self.threshold.save(os.path.join(model_dir, self.FILES["threshold"]))
+        for key, (name, _) in self.ARTIFACTS.items():
+            getattr(self, key).save(os.path.join(model_dir, name))
 
     @classmethod
     def load(cls, model_dir: str) -> "ModelBundle":
-        import os
-
-        return cls(
-            embedding=EmbeddingModel.load(os.path.join(model_dir, cls.FILES["embedding"])),
-            idf=IdfTable.load(os.path.join(model_dir, cls.FILES["idf"])),
-            vae=VaeModel.load(os.path.join(model_dir, cls.FILES["vae"])),
-            stability=StabilityTable.load(os.path.join(model_dir, cls.FILES["stability"])),
-            threshold=AnomalyThreshold.load(os.path.join(model_dir, cls.FILES["threshold"])),
-        )
+        return cls(**{key: kind.load(os.path.join(model_dir, name))
+                      for key, (name, kind) in cls.ARTIFACTS.items()})
 
 
 def window_process_features(g) -> List[Tuple[str, str, str, List[str], List[str]]]:
@@ -313,36 +293,28 @@ def window_process_features(g) -> List[Tuple[str, str, str, List[str], List[str]
     return out
 
 
+def process_vectors(feats, emb: EmbeddingModel, idf: IdfTable) -> np.ndarray:
+    """One process vector per window_process_features entry, as an (n, d) array."""
+    out = np.empty((len(feats), emb.dimension))
+    for i, (_, _, cmdline, paths, quads) in enumerate(feats):
+        out[i] = process_vector(emb.embed_text(cmdline),
+                                [(emb.embed_text(p), idf.weight(p)) for p in paths],
+                                [(emb.embed_text(q), idf.weight(q)) for q in quads])
+    return out
+
+
 def score_processes(g, bundle: ModelBundle) -> Dict[str, float]:
-    """AS for every process node of the window graph."""
+    """AS for every process node of the window graph.
+
+    Files and IPs are never scored; their anomaly contribution is folded
+    into the accessing process via the IDF weights.
+    """
     feats = window_process_features(g)
     if not feats:
         return {}
-    emb, idf = bundle.embedding, bundle.idf
-    nodes = []
-    names = []
-    vecs = np.empty((len(feats), emb.dimension))
-    for i, (nid, name, cmdline, paths, quads) in enumerate(feats):
-        cmd_vec = emb.embed_text(cmdline)
-        file_items = [(emb.embed_text(p), idf.weight(p)) for p in paths]
-        ip_items = [(emb.embed_text(q), idf.weight(q)) for q in quads]
-        vecs[i] = process_vector(nid, cmd_vec, file_items, ip_items).v
-        nodes.append(nid)
-        names.append(name)
-    res = reconstruction_errors(bundle.vae, vecs)
+    res = reconstruction_errors(bundle.vae,
+                                process_vectors(feats, bundle.embedding, bundle.idf))
     return {
         nid: anomaly_score(float(re), bundle.stability.get(name))
-        for nid, name, re in zip(nodes, names, res)
+        for (nid, name, _, _, _), re in zip(feats, res)
     }
-
-
-def identify_terminals(g, bundle: ModelBundle,
-                       threshold: AnomalyThreshold = None) -> List[Tuple[str, float]]:
-    """Processes whose AS exceeds tau, with their scores.
-
-    Files and IPs are never terminals; their anomaly contribution is
-    already folded into the accessing process via the IDF weights.
-    """
-    tau = (threshold or bundle.threshold).tau
-    scores = score_processes(g, bundle)
-    return sorted((nid, s) for nid, s in scores.items() if s > tau)

@@ -68,7 +68,11 @@ class EvictionStore:
         self.node_index: Dict[str, str] = {}
         if os.path.exists(self.index_path):
             with open(self.index_path, "r", encoding="utf-8") as fh:
-                self.node_index = json.load(fh)
+                try:
+                    self.node_index = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise IOError("corrupted store index %s: %s"
+                                  % (self.index_path, exc)) from exc
 
     def _record_path(self, hid: str) -> str:
         return os.path.join(self.hopset_dir, hid + ".json")

@@ -23,12 +23,12 @@ import numpy as np
 
 from .anomaly import (ModelBundle, VaeConfig, anomaly_score,
                       build_stability_table, calibrate_threshold,
-                      reconstruction_errors, train_vae,
+                      process_vectors, reconstruction_errors, train_vae,
                       window_process_features)
 from .cache import DEFAULT_CAPACITY, DEFAULT_EPSILON, CacheState, EvictionStore
 from .detect import (DEFAULT_GRUBBS_ALPHA, DetectorState, emit_alert,
                      process_window)
-from .embed import IdfTable, process_vector, sentenceize, train_embedding
+from .embed import IdfTable, sentenceize, train_embedding
 from .evalgen import SCENARIOS, GenConfig, evaluate, write_scenario
 from .ingest import (DEFAULT_WINDOW_SECONDS, ParseError, WindowBatch,
                      read_events, window_stream)
@@ -53,7 +53,6 @@ class RunConfig:
     model_dir: Optional[str] = None
     store_dir: Optional[str] = None
     stp: str = "isg"
-    threads: int = os.cpu_count() or 1
 
     def isg_params(self) -> IsgParams:
         return IsgParams(alpha=self.alpha, beta=self.beta,
@@ -86,8 +85,6 @@ def _add_config_flags(sub: argparse.ArgumentParser):
                      help="directory for evicted-hopset spill (default: temp)")
     grp.add_argument("--stp", choices=STP_CHOICES, default=argparse.SUPPRESS,
                      help="per-window subgraph algorithm (default isg)")
-    grp.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                     help="bound on intra-window parallelism (default: cores)")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -106,16 +103,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
     return cfg
-
-
-def _apply_threads(cfg: RunConfig):
-    """Bound intra-window parallelism of the compiled kernels."""
-    try:
-        import numba
-
-        numba.set_num_threads(max(1, min(cfg.threads, numba.config.NUMBA_NUM_THREADS)))
-    except ImportError:
-        pass
 
 
 def _batches(path: str, window_seconds: float,
@@ -149,21 +136,16 @@ def train_bundle(batches: Iterable[WindowBatch], source: str,
             counts[key] = counts.get(key, 0) + 1
     idf = IdfTable(p=len(observations), counts=counts)
 
-    vectors, names = [], []
+    vectors = process_vectors(observations, embedding, idf)
+    names = [name for _, name, _, _, _ in observations]
     history: Dict[str, List[np.ndarray]] = defaultdict(list)
-    for nid, name, cmdline, paths, quads in observations:
-        cmd_vec = embedding.embed_text(cmdline)
-        file_items = [(embedding.embed_text(p), idf.weight(p)) for p in paths]
-        ip_items = [(embedding.embed_text(q), idf.weight(q)) for q in quads]
-        vec = process_vector(nid, cmd_vec, file_items, ip_items).v
-        vectors.append(vec)
-        names.append(name)
+    for name, vec in zip(names, vectors):
         history[name].append(vec)
 
     vae_cfg = VaeConfig(epochs=vae_epochs) if vae_epochs else None
     vae = train_vae(vectors, vae_cfg)
     stability = build_stability_table(dict(history))
-    errors = reconstruction_errors(vae, np.array(vectors))
+    errors = reconstruction_errors(vae, vectors)
     as_values = [anomaly_score(float(r), stability.get(name))
                  for name, r in zip(names, errors)]
     threshold = calibrate_threshold(as_values, source)
@@ -175,7 +157,6 @@ def train_bundle(batches: Iterable[WindowBatch], source: str,
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    _apply_threads(cfg)
     try:
         batches = _batches(args.input, cfg.window_seconds)
         bundle, info = train_bundle(batches, os.path.basename(args.input),
@@ -213,7 +194,6 @@ def _fresh_state(cfg: RunConfig, bundle: Optional[ModelBundle],
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    _apply_threads(cfg)
     if not cfg.model_dir:
         print("run needs --model-dir with trained artifacts", file=sys.stderr)
         return 2
@@ -224,15 +204,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     store_dir = cfg.store_dir or tempfile.mkdtemp(prefix="provstp-store-")
-    state = _fresh_state(cfg, bundle, store_dir)
-    os.makedirs(args.out, exist_ok=True)
-
     counters: Dict[str, int] = {}
     n_events = 0
     n_windows = 0
     alert_paths: List[str] = []
-    started = time.perf_counter()
     try:
+        state = _fresh_state(cfg, bundle, store_dir)
+        os.makedirs(args.out, exist_ok=True)
+        started = time.perf_counter()
         for batch in _batches(args.input, cfg.window_seconds, counters):
             n_events += len(batch.events)
             n_windows += 1
@@ -298,7 +277,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    _apply_threads(cfg)
     counters: Dict[str, int] = {}
     try:
         batches = list(_batches(args.input, cfg.window_seconds, counters))

@@ -23,7 +23,7 @@ from .anomaly import ModelBundle, score_processes
 from .cache import CacheState, evict, insert_or_merge, lookup
 from .ingest import WindowBatch
 from .model import FILE, IP, PROCESS, WindowGraph, build_window_graph
-from .stp import (Hopset, IsgParams, MemberRec, fanout, hopset_score,
+from .stp import (Hopset, IsgParams, MemberRec, bfs, fanout, hopset_score,
                   importance, isg_hopset, merge_hopsets, steiner_forest)
 
 DEFAULT_GRUBBS_ALPHA = 0.05
@@ -81,27 +81,11 @@ class Alert:
     grubbs_statistic: float
 
     def to_doc(self) -> dict:
-        return {
-            "id": self.id,
-            "window_index": self.window_index,
-            "terminals": self.terminals,
-            "members": self.members,
-            "edges": self.edges,
-            "has": self.has,
-            "grubbs_statistic": self.grubbs_statistic,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Alert":
-        return cls(
-            id=doc["id"],
-            window_index=doc["window_index"],
-            terminals=list(doc["terminals"]),
-            members=dict(doc["members"]),
-            edges=[list(e) for e in doc["edges"]],
-            has=doc["has"],
-            grubbs_statistic=doc["grubbs_statistic"],
-        )
+        return cls(**{f.name: doc[f.name] for f in dataclasses.fields(cls)})
 
 
 @dataclass
@@ -130,7 +114,8 @@ def steiner_window_hopsets(terminals: List[str], g: WindowGraph,
     """Baseline subgraph construction: a Steiner tree per terminal
     component instead of bounded neighborhoods, for run/bench ablation."""
     edges = steiner_forest(g, terminals, algorithm)
-    adj: Dict[str, Set[str]] = {}
+    # a terminal with no tree edge is a component of its own
+    adj: Dict[str, Set[str]] = {t: set() for t in terminals}
     for u, v in edges:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
@@ -139,32 +124,15 @@ def steiner_window_hopsets(terminals: List[str], g: WindowGraph,
     for t in sorted(set(terminals)):
         if t in seen or t not in g.nodes:
             continue
-        nodes = {t}
-        queue = [t]
-        while queue:
-            u = queue.pop()
-            for v in adj.get(u, ()):
-                if v not in nodes:
-                    nodes.add(v)
-                    queue.append(v)
+        nodes = set(bfs(adj, [t])[0])
         seen |= nodes
         terms = {x for x in terminals if x in nodes}
-        hops = {x: 0 for x in terms}
-        frontier = sorted(terms)
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj.get(u, ()):
-                    if v not in hops:
-                        hops[v] = hops[u] + 1
-                        nxt.append(v)
-            frontier = nxt
+        hops = bfs(adj, sorted(terms))[0]
         members = {}
         for n in nodes:
             as_n = scores.get(n, 0.0)
-            h = hops.get(n, 0)
-            members[n] = MemberRec(as_score=as_n, hops=h,
-                                   iv=importance(as_n, fanout(n, g), h, p))
+            members[n] = MemberRec(as_score=as_n, hops=hops[n],
+                                   iv=importance(as_n, fanout(n, g), hops[n], p))
         comp_edges = {e for e in edges if e[0] in nodes and e[1] in nodes}
         hs = Hopset(terminals=terms, members=members, edges=comp_edges,
                     last_window=window_index)

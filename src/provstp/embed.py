@@ -24,9 +24,9 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 _HEX_RE = re.compile(r"[0-9a-f]+\Z")
 
 NEG_TABLE_SIZE = 1 << 20
-# Token vectors memoised per model before the memo is cleared; at
-# d = 64 an entry is under 1 KB.
-TOKEN_MEMO_LIMIT = 1 << 14
+# Entries a model's token and text memos each hold before they are
+# cleared; at d = 64 an entry is under 1 KB.
+MEMO_LIMIT = 1 << 14
 
 
 @dataclass
@@ -66,6 +66,12 @@ def _fnv1a(s: str) -> int:
     return h
 
 
+def _memo_put(memo: Dict[str, np.ndarray], key: str, value: np.ndarray):
+    if len(memo) >= MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+
+
 def _ngrams(token: str) -> List[str]:
     grams = []
     for n in (3, 4, 5):
@@ -95,11 +101,9 @@ class EmbeddingModel:
         """Memoized _token_vector; the result is read-only because it is shared."""
         v = self._token_memo.get(token)
         if v is None:
-            if len(self._token_memo) >= TOKEN_MEMO_LIMIT:
-                self._token_memo.clear()
             v = self._token_vector(token)
             v.flags.writeable = False
-            self._token_memo[token] = v
+            _memo_put(self._token_memo, token, v)
         return v
 
     def _token_vector(self, token: str) -> np.ndarray:
@@ -120,7 +124,7 @@ class EmbeddingModel:
         v = self._text_cache.get(raw)
         if v is None:
             v = embed_sentence(self, sentenceize(raw))
-            self._text_cache[raw] = v
+            _memo_put(self._text_cache, raw, v)
         return v
 
     def save(self, path: str):
@@ -148,6 +152,27 @@ class EmbeddingModel:
         words = {t: np.asarray(v) for t, v in doc["words"].items()}
         buckets = {int(i): np.asarray(v) for i, v in doc["subword_buckets"].items()}
         return cls(cfg, words, buckets)
+
+
+def negative_table(probs: np.ndarray, size: int = NEG_TABLE_SIZE) -> np.ndarray:
+    """Unigram table for negative sampling: slot a holds the current word,
+    which moves on by one word after each slot a where (a + 1) / size
+    exceeds the running sum of probabilities up to that word.
+
+    size must be a power of two, so that (a + 1) / size and cum * size
+    are exact and the slot counts below need no array of slot bounds.
+    """
+    if size < 1 or size & (size - 1):
+        raise ValueError("negative table size %d is not a power of two" % size)
+    nv = len(probs)
+    cum = np.cumsum(probs)  # sequential sums, as the slot-by-slot fill adds them
+    # word k + 1 starts the slot after the last slot a with
+    # (a + 1) / size <= cum[k], but at least one slot after word k starts
+    passed = np.minimum(np.floor(cum[:-1] * size), size).astype(np.int64) + 1
+    ks = np.arange(nv)
+    lag = np.maximum.accumulate(np.concatenate(([0], passed - ks[1:])))
+    starts = np.minimum(lag + ks, size)
+    return np.repeat(ks, np.diff(np.append(starts, size)))
 
 
 def train_embedding(corpus: Sequence[Sentence], config: EmbedConfig = None) -> EmbeddingModel:
@@ -197,14 +222,7 @@ def train_embedding(corpus: Sequence[Sentence], config: EmbedConfig = None) -> E
 
     freq = np.array([counts[t] for t in vocab], dtype=np.float64) ** 0.75
     probs = freq / freq.sum()
-    neg_table = np.zeros(NEG_TABLE_SIZE, np.int64)
-    wi = 0
-    cum = probs[0]
-    for a in range(NEG_TABLE_SIZE):
-        neg_table[a] = wi
-        if (a + 1) / NEG_TABLE_SIZE > cum and wi < nv - 1:
-            wi += 1
-            cum += probs[wi]
+    neg_table = negative_table(probs)
 
     rs = np.random.RandomState(cfg.seed)
     w_in = (rs.rand(nv + len(bucket_dense), cfg.dimension) - 0.5) / cfg.dimension
@@ -261,15 +279,9 @@ class IdfTable:
         return cls(p=doc["P"], counts=doc["counts"])
 
 
-@dataclass
-class ProcessVector:
-    node: str
-    v: np.ndarray
-
-
-def process_vector(proc: str, cmd_vec: np.ndarray,
+def process_vector(cmd_vec: np.ndarray,
                    file_items: Sequence[Tuple[np.ndarray, float]],
-                   ip_items: Sequence[Tuple[np.ndarray, float]]) -> ProcessVector:
+                   ip_items: Sequence[Tuple[np.ndarray, float]]) -> np.ndarray:
     """V_p = w_c * V_c + sum(w_f * V_f) + sum(w_n * V_n).
 
     w_c is the mean of all file and IP weights; with no touched files or
@@ -282,4 +294,4 @@ def process_vector(proc: str, cmd_vec: np.ndarray,
         v = v + w * vec
     for vec, w in ip_items:
         v = v + w * vec
-    return ProcessVector(proc, v)
+    return v

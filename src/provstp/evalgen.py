@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .model import FILE, IP, PROCESS, FileAttrs, IpAttrs, ProcessAttrs, entity_uuid
+from .ingest import _entity
+from .model import FILE, IP, PROCESS
 
 SCENARIOS = ("benign-only", "apt-webshell", "apt-sql-hijack", "apt-long-gap")
 
@@ -50,17 +51,8 @@ def ip_entity(src_ip: str, src_port: int, dst_ip: str, dst_port: int) -> dict:
 
 
 def entity_id(entity: dict, host: str) -> str:
-    kind = entity["kind"]
-    if kind == PROCESS:
-        attrs = ProcessAttrs(pid=entity["pid"], tid=entity["tid"],
-                             uid=entity.get("uid", 0), name=entity["name"],
-                             cmdline=entity["cmdline"], host=host)
-    elif kind == FILE:
-        attrs = FileAttrs(path=entity["path"], host=host)
-    else:
-        attrs = IpAttrs(src_ip=entity["src_ip"], src_port=entity["src_port"],
-                        dst_ip=entity["dst_ip"], dst_port=entity["dst_port"])
-    return entity_uuid(kind, attrs)
+    """NodeId of a generated entity, derived as the event parser derives it."""
+    return _entity(entity, host, 0, {})[2]
 
 
 @dataclass(slots=True)

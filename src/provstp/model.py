@@ -14,7 +14,6 @@ from typing import Dict, Iterable, List, Set, Tuple
 PROCESS = "process"
 FILE = "file"
 IP = "ip"
-KINDS = (PROCESS, FILE, IP)
 
 FILE_OPS = ("read", "write", "create", "chmod", "rename")
 PROCESS_OPS = ("fork", "clone", "execve", "pipe")
@@ -133,12 +132,6 @@ class WindowGraph:
             self.undirected[dst].add(src)
             self.first_op[(src, dst) if src < dst else (dst, src)] = ev.op
         return True
-
-    def processes(self) -> List[str]:
-        return [nid for nid, rec in self.nodes.items() if rec.kind == PROCESS]
-
-    def neighbors(self, nid: str) -> Set[str]:
-        return self.undirected.get(nid, set())
 
 
 def build_window_graph(events: Iterable, window_index: int = 0) -> WindowGraph:

@@ -101,33 +101,62 @@ def isg_hopset(t: str, g, scores: Dict[str, float], p: IsgParams,
     return h
 
 
-def _bfs_forest(roots: Sequence[str], members: Set[str],
-                edges: Set[Pair]) -> Dict[str, Optional[str]]:
-    """Deterministic multi-source BFS parents over the member-induced edges."""
-    adj: Dict[str, List[str]] = {m: [] for m in members}
-    for u, v in edges:
-        if u in adj and v in adj:
-            adj[u].append(v)
-            adj[v].append(u)
+class _DisjointSets:
+    """Union-find over hashable items, with path halving."""
+
+    def __init__(self, items: Iterable):
+        self.parent = {x: x for x in items}
+
+    def find(self, a):
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(self, a, b) -> bool:
+        """Join the sets of a and b; False when they already were one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
+def bfs(adj: Dict[str, Set[str]], sources: Iterable[str]):
+    """Multi-source BFS that visits neighbours in sorted order.
+
+    Returns (dist, parent): hops from the nearest source and the BFS
+    parent (None at a source).  Sources are seeded in the order given,
+    and both dicts list nodes in discovery order.
+    """
+    dist: Dict[str, int] = {}
     parent: Dict[str, Optional[str]] = {}
     queue = deque()
-    for r in sorted(roots):
-        if r in adj and r not in parent:
-            parent[r] = None
-            queue.append(r)
+    for s in sources:
+        if s not in dist:
+            dist[s] = 0
+            parent[s] = None
+            queue.append(s)
     while queue:
         u = queue.popleft()
         for v in sorted(adj[u]):
-            if v not in parent:
+            if v not in dist:
+                dist[v] = dist[u] + 1
                 parent[v] = u
                 queue.append(v)
-    return parent
+    return dist, parent
 
 
 def _prune_to_bound(h: Hopset, bound: int):
     """Drop lowest-IV non-terminal leaves of the traversal forest until
     the member bound holds; every kept member retains its traversal edge."""
-    parent = _bfs_forest(sorted(h.terminals), set(h.members), h.edges)
+    adj: Dict[str, Set[str]] = {m: set() for m in h.members}
+    for u, v in h.edges:
+        if u in adj and v in adj:
+            adj[u].add(v)
+            adj[v].add(u)
+    parent = bfs(adj, [t for t in sorted(h.terminals) if t in adj])[1]
     # unreachable members cannot stay connected to a terminal; drop them first
     kept = {n for n in h.members if n in parent}
     kids: Dict[str, Set[str]] = {n: set() for n in kept}
@@ -194,27 +223,18 @@ def merge_hopsets(hs: List[Hopset], theta: int) -> List[Hopset]:
     """
     if not hs:
         return []
-    parent = list(range(len(hs)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    sets = _DisjointSets(range(len(hs)))
     owner: Dict[str, int] = {}
     for i, h in enumerate(hs):
         for n in h.members:
             if n in owner:
-                ra, rb = find(i), find(owner[n])
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+                sets.union(i, owner[n])
             else:
                 owner[n] = i
     groups: Dict[int, List[Hopset]] = {}
     order: List[int] = []
     for i, h in enumerate(hs):
-        r = find(i)
+        r = sets.find(i)
         if r not in groups:
             groups[r] = []
             order.append(r)
@@ -229,20 +249,6 @@ def merge_hopsets(hs: List[Hopset], theta: int) -> List[Hopset]:
         else:
             out.append(_union_group(group, theta))
     return out
-
-
-def _bfs(adj: Dict[str, Set[str]], src: str):
-    dist = {src: 0}
-    par: Dict[str, Optional[str]] = {src: None}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in sorted(adj[u]):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                par[v] = u
-                queue.append(v)
-    return dist, par
 
 
 def _walk_up(par: Dict[str, Optional[str]], node: str) -> List[Pair]:
@@ -263,7 +269,7 @@ def greedy_online_stp(g, terminal_stream: Iterable[str]) -> Set[Pair]:
         if t not in adj:
             raise ValueError("terminal %r not in graph" % (t,))
         if prior:
-            dist, par = _bfs(adj, t)
+            dist, par = bfs(adj, [t])
             best = None
             for pt in prior:
                 if pt in dist and (best is None or (dist[pt], pt) < (dist[best], best)):
@@ -275,21 +281,8 @@ def greedy_online_stp(g, terminal_stream: Iterable[str]) -> Set[Pair]:
 
 
 def _kruskal(nodes: Iterable[str], edges: List[Tuple[float, str, str]]) -> List[Tuple[str, str]]:
-    parent = {n: n for n in nodes}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    tree = []
-    for _, u, v in sorted(edges):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            tree.append((u, v))
-    return tree
+    sets = _DisjointSets(nodes)
+    return [(u, v) for _, u, v in sorted(edges) if sets.union(u, v)]
 
 
 def _prune_nonterminal_leaves(edges: Set[Pair], terminals: Set[str]) -> Set[Pair]:
@@ -317,10 +310,10 @@ def kou_steiner(g, terminals: Sequence[str]) -> Set[Pair]:
     terms = sorted(set(terminals))
     if len(terms) < 2:
         return set()
-    bfs = {t: _bfs(adj, t) for t in terms}
+    trees = {t: bfs(adj, [t]) for t in terms}
     closure = []
     for i, u in enumerate(terms):
-        dist_u = bfs[u][0]
+        dist_u = trees[u][0]
         for v in terms[i + 1:]:
             if v not in dist_u:
                 raise ValueError("terminals %r and %r are not connected" % (u, v))
@@ -329,7 +322,7 @@ def kou_steiner(g, terminals: Sequence[str]) -> Set[Pair]:
     nodes: Set[str] = set(terms)
     for u, v in mst:
         u, v = _pair(u, v)
-        path = _walk_up(bfs[u][1], v)
+        path = _walk_up(trees[u][1], v)
         for a, b in path:
             nodes.add(a)
             nodes.add(b)
@@ -344,25 +337,13 @@ def mehlhorn_steiner(g, terminals: Sequence[str]) -> Set[Pair]:
     terms = sorted(set(terminals))
     if len(terms) < 2:
         return set()
-    source: Dict[str, str] = {}
-    dist: Dict[str, int] = {}
-    par: Dict[str, Optional[str]] = {}
-    queue = deque()
     for t in terms:
         if t not in adj:
             raise ValueError("terminal %r not in graph" % (t,))
-        source[t] = t
-        dist[t] = 0
-        par[t] = None
-        queue.append(t)
-    while queue:
-        u = queue.popleft()
-        for v in sorted(adj[u]):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                source[v] = source[u]
-                par[v] = u
-                queue.append(v)
+    dist, par = bfs(adj, terms)
+    source: Dict[str, str] = {}
+    for v, pv in par.items():  # discovery order: parents come first
+        source[v] = v if pv is None else source[pv]
     best: Dict[Pair, Tuple[int, str, str]] = {}
     for u in sorted(adj):
         if u not in source:
@@ -376,21 +357,12 @@ def mehlhorn_steiner(g, terminals: Sequence[str]) -> Set[Pair]:
                 best[key] = cand
     closure = [(float(w), key[0], key[1]) for key, (w, _, _) in
                sorted(best.items(), key=lambda kv: kv[0])]
-    parent = {t: t for t in terms}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    sets = _DisjointSets(terms)
     nodes: Set[str] = set(terms)
     picked = 0
     for _, a, b in sorted(closure):
-        ra, rb = find(a), find(b)
-        if ra == rb:
+        if not sets.union(a, b):
             continue
-        parent[ra] = rb
         picked += 1
         _, u, v = best[_pair(a, b)]
         for e in _walk_up(par, u) + _walk_up(par, v):

@@ -13,7 +13,6 @@ from provstp.anomaly import (
     build_stability_table,
     calibrate_threshold,
     dbscan,
-    reconstruction_error,
     reconstruction_errors,
     train_vae,
     vae_loss_and_grads,
@@ -115,7 +114,7 @@ def test_train_vae_reduces_error_on_repeated_vector():
     data = np.tile(v, (200, 1))
     before = train_vae(data, VaeConfig(hidden=8, latent=3, epochs=0, seed=4))
     after = train_vae(data, VaeConfig(hidden=8, latent=3, epochs=50, seed=4))
-    assert reconstruction_error(after, v) < reconstruction_error(before, v)
+    assert reconstruction_errors(after, [v])[0] < reconstruction_errors(before, [v])[0]
 
 
 def test_train_vae_loss_strictly_decreases_early():
@@ -135,8 +134,8 @@ def test_reconstruction_error_formula():
     cfg = VaeConfig(hidden=2, latent=1)
     zeros = {k: np.zeros_like(v) for k, v in _init_params(2, 2, 1, np.random.RandomState(0)).items()}
     m = VaeModel(2, cfg, zeros)  # all-zero params reconstruct to the zero vector
-    assert reconstruction_error(m, np.array([1.0, 0.0])) == pytest.approx(0.5)
-    assert reconstruction_error(m, np.zeros(2)) == pytest.approx(0.0)
+    errors = reconstruction_errors(m, [[1.0, 0.0], [0.0, 0.0]])
+    assert errors.tolist() == pytest.approx([0.5, 0.0])
 
 
 def test_held_out_benign_reconstructs_better_than_random():

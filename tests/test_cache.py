@@ -177,6 +177,13 @@ def test_lookup_corrupted_record(tmp_path):
         lookup(c, "f1")
 
 
+def test_corrupted_index_raises_ioerror(tmp_path):
+    with open(tmp_path / "node_index.json", "w", encoding="utf-8") as fh:
+        fh.write('{"f1": "ab')  # torn write
+    with pytest.raises(IOError, match="corrupted store index"):
+        EvictionStore(str(tmp_path))
+
+
 def test_eviction_follows_energy_order(tmp_path):
     rng = random.Random(31)
     c = fresh_cache(tmp_path, capacity=0)

@@ -149,6 +149,19 @@ def test_run_malformed_value_fails_cleanly(data_dir, model_dir, tmp_path, capsys
     assert "Traceback" not in err
 
 
+def test_run_corrupt_store_index_fails_cleanly(data_dir, model_dir, tmp_path, capsys):
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "node_index.json").write_text('{"abc": "de')  # torn write
+    rc = main(["run", "--input", str(data_dir / "quiet" / "events.jsonl"),
+               "--model-dir", str(model_dir), "--out", str(tmp_path / "out"),
+               "--store-dir", str(store)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: corrupted store index ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_run_webshell_alerts_on_campaign(data_dir, model_dir, tmp_path, capsys):
     rc = main(["run", "--input", str(data_dir / "webshell" / "events.jsonl"),
                "--model-dir", str(model_dir), "--out", str(tmp_path / "out"),
@@ -248,7 +261,7 @@ def test_help_enumerates_flags(capsys):
     text = capsys.readouterr().out
     for flag in ("--window-seconds", "--cache-capacity", "--epsilon", "--alpha",
                  "--beta", "--gamma", "--theta", "--grubbs-alpha", "--model-dir",
-                 "--store-dir", "--stp", "--threads", "--config"):
+                 "--store-dir", "--stp", "--config"):
         assert flag in text
 
 
@@ -286,4 +299,3 @@ def test_defaults_without_any_flags():
     assert (cfg.alpha, cfg.beta, cfg.gamma, cfg.theta) == (0.9, 100.0, 1.0, 10)
     assert cfg.grubbs_alpha == 0.05
     assert cfg.stp == "isg"
-    assert cfg.threads >= 1

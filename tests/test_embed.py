@@ -14,6 +14,7 @@ from provstp.embed import (
     embed_sentence,
     filter_gibberish,
     idf_weight,
+    negative_table,
     process_vector,
     sentenceize,
     train_embedding,
@@ -122,13 +123,17 @@ def test_oov_token_still_embeds_finite():
 def test_token_vector_memo_returns_direct_values(monkeypatch):
     from provstp import embed
 
-    monkeypatch.setattr(embed, "TOKEN_MEMO_LIMIT", 2)
+    monkeypatch.setattr(embed, "MEMO_LIMIT", 2)
     m = _toy_model()
     for t in ("alpha", "beta", "alphaness", "alpha", "zzz", "beta", "beta"):
         v = m.token_vector(t)
         assert np.array_equal(v, m._token_vector(t))
         assert not v.flags.writeable
         assert len(m._token_memo) <= 2
+    texts = ("/alpha/beta", "gamma delta", "/alpha/beta", "x.zzz", "beta", "gamma delta")
+    for t in texts:
+        assert np.array_equal(m.embed_text(t), embed_sentence(m, sentenceize(t)))
+        assert len(m._text_cache) <= 2
 
 
 def test_embed_sentence_empty_is_zero():
@@ -170,19 +175,58 @@ def test_idf_table_round_trip(tmp_path):
 
 def test_process_vector_no_features():
     cmd = np.array([1.0, 2.0])
-    pv = process_vector("n1", cmd, [], [])
-    assert np.array_equal(pv.v, cmd)
+    assert np.array_equal(process_vector(cmd, [], []), cmd)
 
 
 def test_process_vector_zero_weight_file():
     cmd = np.array([1.0, 2.0])
     f = np.array([5.0, 5.0])
-    pv = process_vector("n1", cmd, [(f, 0.0)], [])
-    assert np.array_equal(pv.v, np.zeros(2))
+    assert np.array_equal(process_vector(cmd, [(f, 0.0)], []), np.zeros(2))
 
 
 def test_process_vector_weighted_sum():
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
-    pv = process_vector("n1", e2, [(e1, 2.0), (e1, 4.0)], [])
-    assert np.allclose(pv.v, 3.0 * e2 + 6.0 * e1)
+    pv = process_vector(e2, [(e1, 2.0), (e1, 4.0)], [])
+    assert np.allclose(pv, 3.0 * e2 + 6.0 * e1)
+
+
+def _negative_table_loop(probs, size):
+    """Slot-by-slot reference for negative_table."""
+    table = np.zeros(size, np.int64)
+    wi = 0
+    cum = probs[0]
+    for a in range(size):
+        table[a] = wi
+        if (a + 1) / size > cum and wi < len(probs) - 1:
+            wi += 1
+            cum += probs[wi]
+    return table
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_negative_table_matches_loop(case):
+    rs = np.random.RandomState(case)
+    counts = [
+        [1.0],                      # one word
+        [999.0, 1.0],               # dominant first token
+        [1e6, 1.0, 1.0, 1.0],
+        [1.0, 1.0, 1.0, 1e9],       # dominant last token
+        [1.0] * 7,
+        rs.randint(1, 50, size=3),
+        rs.randint(1, 50, size=10),
+        rs.randint(1, 50, size=100),
+        rs.randint(1, 50, size=1000),
+        rs.randint(1, 50, size=5000),
+        rs.randint(1, 3, size=300),
+        rs.randint(1, 3, size=20000),  # more words than the small table has slots
+    ][case]
+    freq = np.asarray(counts, dtype=np.float64) ** 0.75
+    probs = freq / freq.sum()
+    sizes = (1 << 20, 32) if case in (0, 1, 8) else (1 << 12, 32)
+    for size in sizes:
+        table = negative_table(probs, size)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, _negative_table_loop(probs, size))
+    with pytest.raises(ValueError):
+        negative_table(probs, 48)

@@ -58,28 +58,9 @@ def random_adjacency(rng, n):
 def is_tree_spanning(edges, terminals):
     if not edges:
         return len(set(terminals)) <= 1
-    nodes = set()
-    for u, v in edges:
-        nodes.add(u)
-        nodes.add(v)
-    if not set(terminals) <= nodes:
-        return False
-    if len(edges) != len(nodes) - 1:
-        return False
-    adj = {n: set() for n in nodes}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    start = next(iter(nodes))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen == nodes
+    nodes = {n for e in edges for n in e}
+    return (set(terminals) <= nodes and len(edges) == len(nodes) - 1
+            and is_connected(nodes, edges))
 
 
 def is_connected(members, edges):
