@@ -58,36 +58,28 @@ def hopset_from_doc(doc: dict) -> Hopset:
 
 
 class EvictionStore:
-    """Directory of hopset JSON records plus a node -> hopset-id index."""
+    """Directory of hopset JSON records, one per stored hopset.  A record
+    is written to a temporary file and renamed into hopsets/, so a crash
+    never leaves a torn one."""
 
     def __init__(self, root: str):
         self.root = root
         self.hopset_dir = os.path.join(root, "hopsets")
-        self.index_path = os.path.join(root, "node_index.json")
+        self.tmp_path = os.path.join(root, "record.tmp")
         os.makedirs(self.hopset_dir, exist_ok=True)
-        self.node_index: Dict[str, str] = {}
-        if os.path.exists(self.index_path):
-            with open(self.index_path, "r", encoding="utf-8") as fh:
-                try:
-                    self.node_index = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise IOError("corrupted store index %s: %s"
-                                  % (self.index_path, exc)) from exc
 
     def _record_path(self, hid: str) -> str:
         return os.path.join(self.hopset_dir, hid + ".json")
 
-    def _flush_index(self):
-        with open(self.index_path, "w", encoding="utf-8") as fh:
-            json.dump(self.node_index, fh, sort_keys=True, indent=2)
+    def ids(self) -> List[str]:
+        return sorted(name[:-5] for name in os.listdir(self.hopset_dir)
+                      if name.endswith(".json"))
 
     def store(self, h: Hopset) -> str:
         hid = hopset_id(h)
-        with open(self._record_path(hid), "w", encoding="utf-8") as fh:
+        with open(self.tmp_path, "w", encoding="utf-8") as fh:
             json.dump(hopset_to_doc(h), fh, sort_keys=True, indent=2)
-        for n in h.members:
-            self.node_index[n] = hid
-        self._flush_index()
+        os.replace(self.tmp_path, self._record_path(hid))
         return hid
 
     def load(self, hid: str) -> Hopset:
@@ -102,21 +94,24 @@ class EvictionStore:
         path = self._record_path(hid)
         if os.path.exists(path):
             os.remove(path)
-        self.node_index = {n: h for n, h in self.node_index.items() if h != hid}
-        self._flush_index()
-
-    def find_node(self, n: str) -> Optional[str]:
-        return self.node_index.get(n)
 
 
 @dataclass
 class CacheState:
+    """Resident hopsets plus one index from each node to the id of the
+    hopset that holds it, resident or stored."""
+
     store: EvictionStore
     capacity: int = DEFAULT_CAPACITY
     epsilon: float = DEFAULT_EPSILON
     theta: int = 10
     entries: Dict[str, Hopset] = field(default_factory=dict)
     node_index: Dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for hid in self.store.ids():
+            for n in self.store.load(hid).members:
+                self.node_index[n] = hid
 
     def member_total(self) -> int:
         return sum(len(h.members) for h in self.entries.values())
@@ -149,7 +144,8 @@ def insert_or_merge(c: CacheState, hs: List[Hopset], window_index: int) -> Cache
     for h in hs:
         h.age = 0
         h.last_window = window_index
-        partners = sorted({c.node_index[n] for n in h.members if n in c.node_index})
+        partners = sorted({hid for hid in map(c.node_index.get, h.members)
+                           if hid in c.entries})
         group = [h] + [_drop_entry(c, pid) for pid in partners]
         touched -= set(partners)
         for merged in merge_hopsets(group, c.theta):
@@ -164,12 +160,12 @@ def insert_or_merge(c: CacheState, hs: List[Hopset], window_index: int) -> Cache
 
 
 def evict(c: CacheState) -> List[str]:
-    """Push minimum-energy entries to the store until the member budget holds."""
+    """Push minimum-energy entries to the store until the member budget
+    holds; their nodes stay indexed under the stored ids."""
     evicted = []
     while c.member_total() > c.capacity and c.entries:
         victim = min(c.entries, key=lambda hid: (energy(c.entries[hid], c.epsilon), hid))
-        h = _drop_entry(c, victim)
-        c.store.store(h)
+        c.store.store(c.entries.pop(victim))
         evicted.append(victim)
     return evicted
 
@@ -181,13 +177,12 @@ def lookup(c: CacheState, n: str) -> Tuple[Optional[Hopset], str]:
     age 0 and deletes the on-disk record.
     """
     hid = c.node_index.get(n)
-    if hid is not None:
+    if hid is None:
+        return None, "absent"
+    if hid in c.entries:
         return c.entries[hid], "resident"
-    sid = c.store.find_node(n)
-    if sid is not None:
-        h = c.store.load(sid)
-        h.age = 0
-        c.store.remove(sid)
-        _add_entry(c, h)
-        return h, "restored"
-    return None, "absent"
+    h = c.store.load(hid)
+    h.age = 0
+    c.store.remove(hid)
+    _add_entry(c, h)
+    return h, "restored"

@@ -59,32 +59,29 @@ class RunConfig:
                          gamma=self.gamma, theta=self.theta)
 
 
-def _add_config_flags(sub: argparse.ArgumentParser):
+CONFIG_FLAGS = {
+    "window-seconds": dict(type=float, help="window length in seconds (default 10)"),
+    "cache-capacity": dict(type=int, help="cache budget in member nodes (default 10000)"),
+    "epsilon": dict(type=float, help="energy decay per window of age (default 0.8)"),
+    "alpha": dict(type=float, help="per-hop importance decay (default 0.9)"),
+    "beta": dict(type=float, help="anomaly weight in importance (default 100)"),
+    "gamma": dict(type=float, help="fanout weight in importance (default 1)"),
+    "theta": dict(type=int, help="hopset size bound (default 10)"),
+    "grubbs-alpha": dict(type=float, help="outlier-test significance (default 0.05)"),
+    "model-dir": dict(help="directory with trained model artifacts"),
+    "store-dir": dict(help="directory for evicted-hopset spill (default: temp)"),
+    "stp": dict(choices=STP_CHOICES, help="per-window subgraph algorithm (default isg)"),
+}
+
+
+def _add_config_flags(sub: argparse.ArgumentParser, names: Iterable[str] = CONFIG_FLAGS):
+    """Register --config and the named pipeline flags; the config file
+    accepts every RunConfig key whichever flags a subcommand reads."""
     grp = sub.add_argument_group("pipeline configuration")
     grp.add_argument("--config", default=argparse.SUPPRESS,
                      help="JSON file with configuration keys (flags win)")
-    grp.add_argument("--window-seconds", type=float, default=argparse.SUPPRESS,
-                     help="window length in seconds (default 10)")
-    grp.add_argument("--cache-capacity", type=int, default=argparse.SUPPRESS,
-                     help="cache budget in member nodes (default 10000)")
-    grp.add_argument("--epsilon", type=float, default=argparse.SUPPRESS,
-                     help="energy decay per window of age (default 0.8)")
-    grp.add_argument("--alpha", type=float, default=argparse.SUPPRESS,
-                     help="per-hop importance decay (default 0.9)")
-    grp.add_argument("--beta", type=float, default=argparse.SUPPRESS,
-                     help="anomaly weight in importance (default 100)")
-    grp.add_argument("--gamma", type=float, default=argparse.SUPPRESS,
-                     help="fanout weight in importance (default 1)")
-    grp.add_argument("--theta", type=int, default=argparse.SUPPRESS,
-                     help="hopset size bound (default 10)")
-    grp.add_argument("--grubbs-alpha", type=float, default=argparse.SUPPRESS,
-                     help="outlier-test significance (default 0.05)")
-    grp.add_argument("--model-dir", default=argparse.SUPPRESS,
-                     help="directory with trained model artifacts")
-    grp.add_argument("--store-dir", default=argparse.SUPPRESS,
-                     help="directory for evicted-hopset spill (default: temp)")
-    grp.add_argument("--stp", choices=STP_CHOICES, default=argparse.SUPPRESS,
-                     help="per-window subgraph algorithm (default isg)")
+    for name in names:
+        grp.add_argument("--" + name, default=argparse.SUPPRESS, **CONFIG_FLAGS[name])
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -157,6 +154,9 @@ def train_bundle(batches: Iterable[WindowBatch], source: str,
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    if not cfg.model_dir:
+        print("train needs --model-dir for the model artifacts", file=sys.stderr)
+        return 2
     try:
         batches = _batches(args.input, cfg.window_seconds)
         bundle, info = train_bundle(batches, os.path.basename(args.input),
@@ -164,8 +164,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     except (OSError, ParseError, ValueError) as exc:
         print("train failed: %s" % exc, file=sys.stderr)
         return 2
-    bundle.save(args.model_dir)
-    info["model_dir"] = args.model_dir
+    bundle.save(cfg.model_dir)
+    info["model_dir"] = cfg.model_dir
     print(json.dumps(info, sort_keys=True))
     return 0
 
@@ -192,15 +192,22 @@ def _fresh_state(cfg: RunConfig, bundle: Optional[ModelBundle],
                          scorer=scorer)
 
 
+def _load_bundle(model_dir: str) -> Optional[ModelBundle]:
+    """The bundle in model_dir, or None after one line on stderr."""
+    try:
+        return ModelBundle.load(model_dir)
+    except (OSError, ValueError, KeyError) as exc:
+        print("cannot load models from %s: %s" % (model_dir, exc), file=sys.stderr)
+        return None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     if not cfg.model_dir:
         print("run needs --model-dir with trained artifacts", file=sys.stderr)
         return 2
-    try:
-        bundle = ModelBundle.load(cfg.model_dir)
-    except (OSError, ValueError, KeyError) as exc:
-        print("cannot load models from %s: %s" % (cfg.model_dir, exc), file=sys.stderr)
+    bundle = _load_bundle(cfg.model_dir)
+    if bundle is None:
         return 2
 
     store_dir = cfg.store_dir or tempfile.mkdtemp(prefix="provstp-store-")
@@ -291,7 +298,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     bundle = None
     scorer = _surrogate_scorer
     if cfg.model_dir:
-        bundle = ModelBundle.load(cfg.model_dir)
+        bundle = _load_bundle(cfg.model_dir)
+        if bundle is None:
+            return 2
         scorer = None
 
     best = None
@@ -328,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--input", required=True, help="events.jsonl ('-' for stdin)")
     p_train.add_argument("--epochs", type=int, default=None,
                          help="reconstruction-model training epochs")
-    _add_config_flags(p_train)
+    _add_config_flags(p_train, ("window-seconds", "model-dir"))
     p_train.set_defaults(func=cmd_train)
 
     p_run = subs.add_parser("run", help="stream events through the detector")
@@ -352,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="windows between attack stages")
     p_gen.add_argument("--gap", type=int, default=55,
                        help="window gap for the long-gap scenario")
-    _add_config_flags(p_gen)
+    _add_config_flags(p_gen, ("window-seconds",))
     p_gen.set_defaults(func=cmd_gen)
 
     p_eval = subs.add_parser("eval", help="score an alert directory against truth")
@@ -364,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--input", required=True, help="events.jsonl")
     p_bench.add_argument("--repeat", type=int, default=1,
                          help="timing repetitions; the best is reported")
-    _add_config_flags(p_bench)
+    _add_config_flags(p_bench, [n for n in CONFIG_FLAGS if n != "store-dir"])
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

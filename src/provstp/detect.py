@@ -129,7 +129,7 @@ def steiner_window_hopsets(terminals: List[str], g: WindowGraph,
         terms = {x for x in terminals if x in nodes}
         hops = bfs(adj, sorted(terms))[0]
         members = {}
-        for n in nodes:
+        for n in sorted(nodes):
             as_n = scores.get(n, 0.0)
             members[n] = MemberRec(as_score=as_n, hops=hops[n],
                                    iv=importance(as_n, fanout(n, g), hops[n], p))
@@ -207,10 +207,8 @@ def process_window(batch: WindowBatch, st: DetectorState) -> List[Alert]:
     for h in merged:
         _decorate_hopset(h, g)
         for n in sorted(h.members):
-            if n not in st.cache.node_index:
-                _, where = lookup(st.cache, n)
-                if where == "restored":
-                    st.counters["restored"] = st.counters.get("restored", 0) + 1
+            if lookup(st.cache, n)[1] == "restored":
+                st.counters["restored"] = st.counters.get("restored", 0) + 1
 
     insert_or_merge(st.cache, merged, batch.window_index)
     evicted = evict(st.cache)

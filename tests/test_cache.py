@@ -1,8 +1,15 @@
+import hashlib
 import json
 import os
 import random
+import shutil
+import tempfile
+import time
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from provstp.cache import (
     CacheState,
@@ -14,7 +21,7 @@ from provstp.cache import (
     insert_or_merge,
     lookup,
 )
-from provstp.stp import Hopset, MemberRec, hopset_id, hopset_score
+from provstp.stp import Hopset, MemberRec, hopset_id, hopset_score, merge_hopsets
 
 
 def make_hopset(term, leaf_scores, attrs=None, ops=None):
@@ -37,10 +44,14 @@ def fresh_cache(tmp_path, capacity=100, theta=10):
 
 
 def audit(c):
+    """The index maps exactly the members of the resident and stored
+    hopsets, each node to the one hopset that holds it."""
     expect = {}
-    for hid, h in c.entries.items():
+    stored = [(hid, c.store.load(hid)) for hid in c.store.ids()]
+    assert not set(c.entries) & {hid for hid, _ in stored}
+    for hid, h in list(c.entries.items()) + stored:
         for n in h.members:
-            assert n not in expect, "node owned by two resident hopsets"
+            assert n not in expect, "node owned by two hopsets"
             expect[n] = hid
     assert c.node_index == expect
 
@@ -147,7 +158,9 @@ def test_evict_then_lookup_restores_equal(tmp_path):
                     ops={"f2": "write"})
     original = hopset_to_doc(h)
     insert_or_merge(c, [h], 0)
+    insert_or_merge(c, [], 1)
     assert evict(c) == [hopset_id(h)]
+    assert c.store.load(hopset_id(h)).age == 1
     assert c.entries == {}
     got, where = lookup(c, "f1")
     assert where == "restored"
@@ -155,7 +168,7 @@ def test_evict_then_lookup_restores_equal(tmp_path):
     assert got.age == 0
     # back in the cache, gone from the store
     assert lookup(c, "f2") == (got, "resident")
-    assert c.store.find_node("f1") is None
+    assert c.node_index["f1"] in c.entries and c.store.ids() == []
     assert not os.path.exists(os.path.join(c.store.hopset_dir, hopset_id(h) + ".json"))
     audit(c)
 
@@ -177,11 +190,15 @@ def test_lookup_corrupted_record(tmp_path):
         lookup(c, "f1")
 
 
-def test_corrupted_index_raises_ioerror(tmp_path):
-    with open(tmp_path / "node_index.json", "w", encoding="utf-8") as fh:
-        fh.write('{"f1": "ab')  # torn write
-    with pytest.raises(IOError, match="corrupted store index"):
-        EvictionStore(str(tmp_path))
+def test_torn_record_raises_ioerror_on_reopen(tmp_path):
+    c = fresh_cache(tmp_path, capacity=0)
+    insert_or_merge(c, [make_hopset("t0", {"f1": 0.5})], 0)
+    hid = evict(c)[0]
+    path = os.path.join(c.store.hopset_dir, hid + ".json")
+    with open(path, "r+", encoding="utf-8") as fh:
+        fh.truncate(len(fh.read()) // 2)
+    with pytest.raises(IOError, match="corrupted store record .*%s" % hid):
+        fresh_cache(tmp_path)
 
 
 def test_eviction_follows_energy_order(tmp_path):
@@ -203,13 +220,21 @@ def test_eviction_follows_energy_order(tmp_path):
 
 
 def test_store_index_persists(tmp_path):
-    root = str(tmp_path / "store")
-    store = EvictionStore(root)
+    c = fresh_cache(tmp_path, capacity=0)
     h = make_hopset("t0", {"f1": 0.5})
-    hid = store.store(h)
-    again = EvictionStore(root)
-    assert again.find_node("f1") == hid
-    assert same_content(again.load(hid), h)
+    insert_or_merge(c, [h], 0)
+    hid = evict(c)[0]
+    assert os.listdir(c.store.hopset_dir) == [hid + ".json"]
+    # a later store cut short before its rename leaves only the temp file
+    with open(c.store.tmp_path, "w", encoding="utf-8") as fh:
+        fh.write('{"terminals": ["t1"], "mem')
+    again = fresh_cache(tmp_path)
+    assert again.node_index == {"t0": hid, "f1": hid}
+    assert again.entries == {}
+    got, where = lookup(again, "t0")
+    assert where == "restored" and same_content(got, h)
+    assert os.listdir(again.store.hopset_dir) == []
+    audit(again)
 
 
 def test_node_index_audit_under_random_ops(tmp_path):
@@ -226,7 +251,6 @@ def test_node_index_audit_under_random_ops(tmp_path):
             batch.append(h)
             all_nodes.extend(h.members)
         # window-level disjointness: merge any overlapping incoming first
-        from provstp.stp import merge_hopsets
         batch = merge_hopsets(batch, c.theta)
         for h in batch:
             for n in list(h.members):
@@ -235,9 +259,6 @@ def test_node_index_audit_under_random_ops(tmp_path):
         evict(c)
         audit(c)
         assert c.member_total() <= c.capacity
-        resident = set(c.node_index)
-        stored = set(c.store.node_index)
-        assert not (resident & stored)
         for n in rng.sample(all_nodes, min(3, len(all_nodes))):
             got, where = lookup(c, n)
             if where == "absent":
@@ -246,3 +267,123 @@ def test_node_index_audit_under_random_ops(tmp_path):
                 assert n in got.members
         evict(c)
         audit(c)
+
+
+def test_ten_thousand_round_trips_stay_linear(tmp_path):
+    n = 10_000
+    c = fresh_cache(tmp_path, capacity=0)
+    hs = [make_hopset("t%05d" % i, {"t%05d-f%d" % (i, j): 0.5 for j in range(9)})
+          for i in range(n)]
+    started = time.perf_counter()
+    for i, h in enumerate(hs):
+        insert_or_merge(c, [h], i)
+        assert evict(c) == [hopset_id(h)]
+    assert len(c.store.ids()) == n and len(c.node_index) == 10 * n
+    for i, h in enumerate(hs):
+        got, where = lookup(c, "t%05d-f4" % i)
+        assert where == "restored" and got.members == h.members
+    elapsed = time.perf_counter() - started
+    assert c.store.ids() == [] and len(c.entries) == n
+    assert elapsed < 60.0, "%d round trips took %.1f s" % (n, elapsed)
+
+
+def _ref_id(terminals):
+    return hashlib.md5(",".join(sorted(terminals)).encode("utf-8")).hexdigest()
+
+
+class CacheMachine(RuleBasedStateMachine):
+    """Drives the cache in the order process_window uses (look up every
+    member, insert, evict), plus raw lookups and crash-and-reopen, against
+    a reference of plain dicts: each hopset's terminals and members, and
+    whether it is resident."""
+
+    CAPACITY = 8
+    THETA = 100  # no pruning, so a merged hopset is the union of its group
+
+    def __init__(self):
+        super().__init__()
+        self.root = tempfile.mkdtemp(prefix="cache-machine-")
+        self.cache = self._open()
+        self.window = 0
+        self.groups = {}  # hid -> (terminals, members)
+        self.resident = set()
+
+    def _open(self):
+        return CacheState(store=EvictionStore(self.root), capacity=self.CAPACITY,
+                          theta=self.THETA)
+
+    def teardown(self):
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    def _owner(self, n):
+        return next((hid for hid, (_, ms) in self.groups.items() if n in ms), None)
+
+    @rule(specs=st.lists(st.tuples(st.integers(0, 7),
+                                   st.sets(st.integers(0, 19), min_size=1, max_size=3)),
+                         max_size=3))
+    def window_pass(self, specs):
+        incoming = [make_hopset("t%d" % t, {"n%02d" % i: 0.25 + i / 8 for i in leaves})
+                    for t, leaves in specs]
+        batch = merge_hopsets(incoming, self.THETA)
+        for h in batch:
+            for n in sorted(h.members):
+                lookup(self.cache, n)
+        insert_or_merge(self.cache, batch, self.window)
+        evicted = evict(self.cache)
+        self.window += 1
+
+        # reference: each incoming hopset absorbs every group it touches
+        for h in incoming:
+            terms, members = set(h.terminals), set(h.members)
+            while True:
+                hit = [hid for hid, (_, ms) in self.groups.items() if ms & members]
+                if not hit:
+                    break
+                for hid in hit:
+                    ts, ms = self.groups.pop(hid)
+                    self.resident.discard(hid)
+                    terms |= ts
+                    members |= ms
+            hid = _ref_id(terms)
+            self.groups[hid] = (terms, members)
+            self.resident.add(hid)
+        for hid in evicted:
+            assert hid in self.resident
+            self.resident.discard(hid)
+        assert self.cache.member_total() <= self.CAPACITY
+
+    @rule(i=st.integers(0, 27))
+    def raw_lookup(self, i):
+        n = "t%d" % i if i < 8 else "n%02d" % (i - 8)
+        got, where = lookup(self.cache, n)
+        hid = self._owner(n)
+        if hid is None:
+            assert (got, where) == (None, "absent")
+            return
+        assert where == ("resident" if hid in self.resident else "restored")
+        assert (got.terminals, set(got.members)) == self.groups[hid]
+        self.resident.add(hid)
+
+    @rule(torn=st.booleans())
+    def crash_and_reopen(self, torn):
+        if torn:  # a store cut short before its rename
+            with open(self.cache.store.tmp_path, "w", encoding="utf-8") as fh:
+                fh.write('{"terminals": ["t9"], "mem')
+        self.cache = self._open()
+        for hid in self.resident:
+            del self.groups[hid]
+        self.resident = set()
+
+    @invariant()
+    def index_matches_reference(self):
+        c = self.cache
+        audit(c)
+        assert set(c.entries) == self.resident
+        assert set(c.store.ids()) == set(self.groups) - self.resident
+        for hid, h in c.entries.items():
+            assert (h.terminals, set(h.members)) == self.groups[hid]
+
+
+CacheMachine.TestCase.settings = settings(max_examples=40, stateful_step_count=25,
+                                          deadline=None)
+TestCacheMachine = CacheMachine.TestCase

@@ -2,6 +2,7 @@ import glob
 import io
 import json
 import os
+import re
 
 import pytest
 
@@ -82,6 +83,23 @@ def test_train_empty_input_fails(tmp_path, capsys):
     assert "train failed" in capsys.readouterr().err
 
 
+def test_train_without_model_dir_fails(data_dir, tmp_path, capsys):
+    rc = main(["train", "--input", str(data_dir / "quiet" / "events.jsonl")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "train needs --model-dir for the model artifacts\n"
+
+
+def test_train_reads_model_dir_from_config(data_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model_dir": str(tmp_path / "m")}))
+    rc = main(["train", "--input", str(data_dir / "quiet" / "events.jsonl"),
+               "--config", str(cfg_path)])
+    assert rc == 0
+    assert read_stdout_json(capsys)["model_dir"] == str(tmp_path / "m")
+    assert len(os.listdir(tmp_path / "m")) == 5
+
+
 def test_gen_is_deterministic(tmp_path, capsys):
     for sub in ("a", "b"):
         rc = main(["gen", "--scenario", "apt-sql-hijack", "--seed", "3",
@@ -149,16 +167,16 @@ def test_run_malformed_value_fails_cleanly(data_dir, model_dir, tmp_path, capsys
     assert "Traceback" not in err
 
 
-def test_run_corrupt_store_index_fails_cleanly(data_dir, model_dir, tmp_path, capsys):
+def test_run_torn_store_record_fails_cleanly(data_dir, model_dir, tmp_path, capsys):
     store = tmp_path / "store"
-    store.mkdir()
-    (store / "node_index.json").write_text('{"abc": "de')  # torn write
+    (store / "hopsets").mkdir(parents=True)
+    (store / "hopsets" / "abc.json").write_text('{"terminals": ["de')  # torn write
     rc = main(["run", "--input", str(data_dir / "quiet" / "events.jsonl"),
                "--model-dir", str(model_dir), "--out", str(tmp_path / "out"),
                "--store-dir", str(store)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("run failed: corrupted store index ")
+    assert err.startswith("run failed: corrupted store record ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -248,6 +266,15 @@ def test_bench_empty_input_fails(tmp_path, capsys):
     assert rc != 0
 
 
+def test_bench_missing_model_dir_fails_cleanly(data_dir, tmp_path, capsys):
+    rc = main(["bench", "--input", str(data_dir / "quiet" / "events.jsonl"),
+               "--model-dir", str(tmp_path / "nowhere")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot load models from %s: " % (tmp_path / "nowhere"))
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_unknown_flag_fails_fast(data_dir):
     with pytest.raises(SystemExit):
         main(["run", "--input", str(data_dir / "quiet" / "events.jsonl"),
@@ -255,14 +282,22 @@ def test_unknown_flag_fails_fast(data_dir):
 
 
 def test_help_enumerates_flags(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--help"])
-    assert exc.value.code == 0
-    text = capsys.readouterr().out
-    for flag in ("--window-seconds", "--cache-capacity", "--epsilon", "--alpha",
-                 "--beta", "--gamma", "--theta", "--grubbs-alpha", "--model-dir",
-                 "--store-dir", "--stp", "--config"):
-        assert flag in text
+    pipeline = {"--window-seconds", "--cache-capacity", "--epsilon", "--alpha",
+                "--beta", "--gamma", "--theta", "--grubbs-alpha", "--model-dir",
+                "--store-dir", "--stp", "--config"}
+    # each subcommand registers only the pipeline flags it reads
+    expect = {
+        "run": pipeline,
+        "bench": pipeline - {"--store-dir"},
+        "train": {"--window-seconds", "--model-dir", "--config"},
+        "gen": {"--window-seconds", "--config"},
+    }
+    for command, flags in expect.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z][a-z-]*", text)) & pipeline == flags, command
 
 
 def test_config_file_precedence(tmp_path):

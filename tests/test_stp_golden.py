@@ -50,7 +50,8 @@ def _doc(h):
 
 
 def _case(seed):
-    """Outputs per algorithm, and how many hopsets merge and prune cut down."""
+    """Outputs per algorithm, how many hopsets merge and prune cut down,
+    and the baseline window hopsets themselves."""
     rng = random.Random(seed)
     g, names = _graph(rng, seed)
     terms = sorted(rng.sample(names, rng.randrange(2, min(8, len(names)) + 1)))
@@ -59,9 +60,9 @@ def _case(seed):
     p = IsgParams(theta=rng.randrange(2, 7))
     out = {algo: sorted(steiner_forest(g, stream if algo == "greedy" else terms, algo))
            for algo in ("greedy", "kou", "mehlhorn")}
-    out["window_hopsets"] = [
-        [_doc(h) for h in steiner_window_hopsets(terms, g, scores, p, 3, algo)]
-        for algo in ("greedy", "kou", "mehlhorn")]
+    window_hs = [steiner_window_hopsets(terms, g, scores, p, 3, algo)
+                 for algo in ("greedy", "kou", "mehlhorn")]
+    out["window_hopsets"] = [[_doc(h) for h in hs] for hs in window_hs]
     # two windows' hopsets per terminal: a merged group keeps one terminal
     # but up to three times theta members, so it must be pruned
     hs = []
@@ -81,7 +82,7 @@ def _case(seed):
         _prune_to_bound(h, p.theta)
         cut += before > len(h.members)
         out["prune"].append(_doc(h))
-    return out, cut
+    return out, cut, window_hs
 
 
 @pytest.fixture(scope="module")
@@ -92,10 +93,18 @@ def cases():
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_stp_outputs_match_golden_digest(cases, key):
     digest = hashlib.sha256()
-    for out, _ in cases:
+    for out, _, _ in cases:
         digest.update(json.dumps(out[key], sort_keys=True).encode("utf-8"))
     assert digest.hexdigest() == GOLDEN[key]
 
 
 def test_golden_cases_exercise_pruning(cases):
-    assert sum(cut > 0 for _, cut in cases) >= N_GRAPHS // 2
+    assert sum(cut > 0 for _, cut, _ in cases) >= N_GRAPHS // 2
+
+
+def test_window_hopsets_sum_has_in_sorted_member_order(cases):
+    # a float sum in set order would follow PYTHONHASHSEED
+    for _, _, window_hs in cases:
+        for h in (h for hs in window_hs for h in hs):
+            assert list(h.members) == sorted(h.members)
+            assert h.has == sum(h.members[n].as_score for n in sorted(h.members))
