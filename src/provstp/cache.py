@@ -161,11 +161,18 @@ def insert_or_merge(c: CacheState, hs: List[Hopset], window_index: int) -> Cache
 
 def evict(c: CacheState) -> List[str]:
     """Push minimum-energy entries to the store until the member budget
-    holds; their nodes stay indexed under the stored ids."""
+    holds; their nodes stay indexed under the stored ids.  Energies do
+    not change during an evict, so the residents are ranked once."""
+    total = c.member_total()
+    if total <= c.capacity:
+        return []
     evicted = []
-    while c.member_total() > c.capacity and c.entries:
-        victim = min(c.entries, key=lambda hid: (energy(c.entries[hid], c.epsilon), hid))
-        c.store.store(c.entries.pop(victim))
+    for victim in sorted(c.entries, key=lambda hid: (energy(c.entries[hid], c.epsilon), hid)):
+        if total <= c.capacity:
+            break
+        h = c.entries.pop(victim)
+        total -= len(h.members)
+        c.store.store(h)
         evicted.append(victim)
     return evicted
 

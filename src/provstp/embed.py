@@ -225,8 +225,9 @@ def train_embedding(corpus: Sequence[Sentence], config: EmbedConfig = None) -> E
     neg_table = negative_table(probs)
 
     rs = np.random.RandomState(cfg.seed)
-    w_in = (rs.rand(nv + len(bucket_dense), cfg.dimension) - 0.5) / cfg.dimension
-    w_out = np.zeros((nv, cfg.dimension))
+    n_in = nv + len(bucket_dense)
+    w = np.zeros((n_in + nv, cfg.dimension))  # input rows, then output rows
+    w[:n_in] = (rs.rand(n_in, cfg.dimension) - 0.5) / cfg.dimension
     state = ((cfg.seed * 2654435761) + 1) & 0xFFFFFFFF
     if state == 0:
         state = 1
@@ -235,11 +236,11 @@ def train_embedding(corpus: Sequence[Sentence], config: EmbedConfig = None) -> E
         for _ in range(cfg.epochs):
             order = rs.permutation(len(pairs))
             state = _kernels.sgns_epoch(
-                pairs[order], comp_idx, comp_off, w_in, w_out,
+                pairs[order], comp_idx, comp_off, w, n_in,
                 neg_table, cfg.negatives, cfg.lr, state)
 
-    words = {t: w_in[i].copy() for t, i in tok_idx.items()}
-    buckets = {b: w_in[nv + di].copy() for b, di in bucket_dense.items()}
+    words = {t: w[i].copy() for t, i in tok_idx.items()}
+    buckets = {b: w[nv + di].copy() for b, di in bucket_dense.items()}
     return EmbeddingModel(cfg, words, buckets)
 
 

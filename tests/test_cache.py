@@ -11,6 +11,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+import provstp.cache as cache_mod
 from provstp.cache import (
     CacheState,
     EvictionStore,
@@ -217,6 +218,63 @@ def test_eviction_follows_energy_order(tmp_path):
                 sorted(hs, key=lambda h: (energy(h, c.epsilon), hopset_id(h)))]
     assert evict(c) == expected
     assert c.entries == {}
+
+
+def evict_reference(c):
+    """The evict loop this cache ran before it ranked residents once:
+    member total and minimum energy recomputed for each victim."""
+    evicted = []
+    while c.member_total() > c.capacity and c.entries:
+        victim = min(c.entries, key=lambda hid: (energy(c.entries[hid], c.epsilon), hid))
+        c.store.store(c.entries.pop(victim))
+        evicted.append(victim)
+    return evicted
+
+
+def _random_cache(root, rng):
+    c = CacheState(store=EvictionStore(str(root)), capacity=rng.randrange(0, 30),
+                   epsilon=rng.choice([0.5, 0.8, 1.0]))
+    for i in range(rng.randrange(0, 15)):
+        # few distinct scores and ages, so that energies tie
+        h = make_hopset("t%02d" % i, {"n%02d-%d" % (i, j): rng.choice([0.5, 1.0, 2.5])
+                                      for j in range(rng.randrange(0, 5))})
+        h.age = rng.randrange(0, 3)
+        c.entries[hopset_id(h)] = h
+        for n in h.members:
+            c.node_index[n] = hopset_id(h)
+    return c
+
+
+def test_evict_matches_reference_loop(tmp_path):
+    evicting = 0
+    for case in range(80):
+        c = _random_cache(tmp_path / ("new%d" % case), random.Random(case))
+        ref = _random_cache(tmp_path / ("ref%d" % case), random.Random(case))
+        gone = evict(c)
+        assert gone == evict_reference(ref)
+        assert list(c.entries) == list(ref.entries)
+        assert c.store.ids() == ref.store.ids()
+        assert c.member_total() <= c.capacity
+        evicting += len(gone) > 1
+    assert evicting >= 20
+
+
+def test_evict_ranks_residents_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_energy(h, epsilon):
+        calls.append(1)
+        return energy(h, epsilon)
+
+    c = fresh_cache(tmp_path, capacity=40)
+    for i in range(50):
+        h = make_hopset("t%02d" % i, {"n%02d" % i: 0.1 + 0.05 * i})
+        c.entries[hopset_id(h)] = h
+        for n in h.members:
+            c.node_index[n] = hopset_id(h)
+    monkeypatch.setattr(cache_mod, "energy", counting_energy)
+    assert len(evict(c)) == 30  # 100 members down to 40
+    assert len(calls) <= 50
 
 
 def test_store_index_persists(tmp_path):

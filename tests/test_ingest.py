@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from provstp.ingest import (
@@ -114,6 +114,32 @@ def test_all_events_accounted_for():
     batches = list(window_stream(_events(ts_list), 10.0, counters))
     emitted = sum(len(b.events) for b in batches)
     assert emitted + counters.get("dropped_late", 0) == len(ts_list)
+
+
+# Timestamps on and next to the edges of 10 s windows, repeated, in any
+# order: some come before the first event and some are late.
+_edge_ts = st.sampled_from([0, 1, 9_999, 10_000, 19_999, 20_000, 39_999, 40_000, 40_001])
+_stream_ts = st.lists(st.one_of(_edge_ts, st.integers(0, 160_000)), min_size=1, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ts_list=_stream_ts)
+@example(ts_list=[40_000, 0, 35_000, 60_000, 10_000, 60_000, 40_000])  # window -1 and three drops
+def test_window_stream_accounts_for_every_event(ts_list):
+    events = _events(ts_list)
+    counters = {}
+    batches = list(window_stream(events, 10.0, counters))
+    windowed = [id(e) for b in batches for e in b.events]
+    # each event once: windowed (never twice) or dropped late
+    assert len(set(windowed)) == len(windowed)
+    assert set(windowed) <= {id(e) for e in events}
+    assert len(windowed) + counters.get("dropped_late", 0) == len(events)
+    indexes = [b.window_index for b in batches]
+    assert all(a < b for a, b in zip(indexes, indexes[1:]))
+    start = ts_list[0]
+    for b in batches:
+        for e in b.events:
+            assert (e.ts - start) // 10_000 in (b.window_index, b.window_index - 1)
 
 
 def test_batches_sorted_by_ts_within_window():

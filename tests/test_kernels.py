@@ -1,11 +1,59 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from provstp import _kernels
 from test_anomaly import oracle_dbscan
+
+_M32 = 0xFFFFFFFF
+
+
+def sgns_epoch_pairwise(pairs, comp_idx, comp_off, w_in, w_out, neg_table, n_neg, lr, state):
+    """Pair-by-pair numpy reference for _kernels.sgns_epoch: each pair
+    draws its negatives, snapshots its target rows and adds its updates
+    with np.add.at.  The kernel must match it bit for bit."""
+    tlen = len(neg_table)
+    for i in range(pairs.shape[0]):
+        c = pairs[i, 0]
+        o = pairs[i, 1]
+        rows = comp_idx[comp_off[c]:comp_off[c + 1]]
+        h = w_in[rows].mean(axis=0)
+        targets = [o]
+        for _ in range(n_neg):
+            state = state ^ ((state << 13) & _M32)
+            state = state ^ (state >> 17)
+            state = state ^ ((state << 5) & _M32)
+            t = int(neg_table[state % tlen])
+            if t == o:
+                continue
+            targets.append(t)
+        tarr = np.asarray(targets, dtype=np.int64)
+        labels = np.zeros(len(targets))
+        labels[0] = 1.0
+        snapshot = w_out[tarr]
+        dots = np.clip(snapshot @ h, -30.0, 30.0)
+        sig = np.array([1.0 / (1.0 + math.exp(-x)) for x in dots])
+        g = lr * (labels - sig)
+        grad = g @ snapshot
+        np.add.at(w_out, tarr, g[:, None] * h)
+        np.add.at(w_in, rows, grad / len(rows))
+    return state
+
+
+def sgns_epoch_stacked(pairs, comp_idx, comp_off, w_in, w_out, neg_table, n_neg, lr, state):
+    """_kernels.sgns_epoch called with the references' arguments."""
+    n_in = w_in.shape[0]
+    w = np.concatenate((w_in, w_out))
+    state = _kernels.sgns_epoch(pairs, comp_idx, comp_off, w, n_in, neg_table, n_neg, lr, state)
+    w_in[...] = w[:n_in]
+    w_out[...] = w[n_in:]
+    return state
 
 
 def sgns_epoch_loop(pairs, comp_idx, comp_off, w_in, w_out, neg_table, n_neg, lr, state):
@@ -97,10 +145,78 @@ def _run(fn, seed=3):
 
 def test_sgns_numpy_matches_loop_reference():
     s1, in1, out1 = _run(sgns_epoch_loop)
-    s2, in2, out2 = _run(_kernels.sgns_epoch)
+    s2, in2, out2 = _run(sgns_epoch_stacked)
     assert s1 == s2  # identical sampling sequence
     np.testing.assert_allclose(in1, in2, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(out1, out2, rtol=1e-9, atol=1e-12)
+
+
+def _colliding_inputs(seed, n_pairs, nv=7, d=16, table=64):
+    """Tokens of one to four composition rows drawn from a few buckets,
+    so that some repeat a row (two n-grams in one bucket), and a small
+    negative table over few words, so that negatives repeat and hit o."""
+    rs = np.random.RandomState(seed)
+    n_buckets = 3
+    comps = [[i] + list(nv + rs.randint(0, n_buckets, size=rs.randint(0, 4)))
+             for i in range(nv)]
+    comp_off = np.concatenate(([0], np.cumsum([len(c) for c in comps]))).astype(np.int64)
+    comp_idx = np.array([r for c in comps for r in c], np.int64)
+    pairs = rs.randint(0, nv, size=(n_pairs, 2)).astype(np.int64)
+    w_in = (rs.rand(nv + n_buckets, d) - 0.5) / d
+    w_out = (rs.rand(nv, d) - 0.5) * 4.0  # large enough that some dots clip at +-30
+    neg_table = rs.randint(0, nv, size=table).astype(np.int64)
+    return pairs, comp_idx, comp_off, w_in, w_out, neg_table
+
+
+@pytest.mark.parametrize("seed,n_pairs,n_neg", [
+    (0, 300, 5),    # repeated negatives, negatives equal to o, repeated composition rows
+    (1, 300, 0),    # no negatives: o alone
+    (2, 1, 5),      # a single pair
+    (3, 0, 5),      # no pairs
+    (4, 2 * _kernels._PLAN_BLOCK + 37, 5),  # plan blocks and jump-table runs end mid-epoch
+    (5, 600, 9),
+])
+def test_sgns_epoch_bit_identical_to_pairwise(seed, n_pairs, n_neg):
+    args = _colliding_inputs(seed, n_pairs)
+    ref = [a.copy() for a in args]
+    lr, state = 0.05, 2463534242 + seed
+    s_ref = sgns_epoch_pairwise(*ref, n_neg, lr, state)
+    s_new = sgns_epoch_stacked(*args, n_neg, lr, state)
+    assert s_new == s_ref
+    assert np.array_equal(args[3], ref[3])
+    assert np.array_equal(args[4], ref[4])
+
+
+def test_colliding_inputs_reach_every_case():
+    """The inputs above repeat composition rows, repeat negatives and
+    draw o as a negative, so both update paths of the kernel run."""
+    pairs, comp_idx, comp_off, w_in, _, neg_table = _colliding_inputs(0, 300)
+    idx, ends, ks, distinct, _ = _kernels._plan_block(
+        pairs, comp_idx, comp_off, neg_table, 5, 2463534242, w_in.shape[0])
+    assert distinct.any() and not distinct.all()
+    starts = np.concatenate(([0], ends[:-1]))
+    rows_repeat = targets_repeat = o_drawn = False
+    for a, end, k in zip(starts.tolist(), ends.tolist(), ks.tolist()):
+        rows, targets = idx[a:a + k].tolist(), idx[a + k:end].tolist()
+        rows_repeat |= len(set(rows)) < k
+        targets_repeat |= len(set(targets)) < len(targets)
+        o_drawn |= len(targets) < 6
+    assert rows_repeat and targets_repeat and o_drawn
+
+
+@pytest.mark.parametrize("state,count", [
+    (1, 0), (12345, 1), (2463534242, 3 * _kernels._JUMP_STEPS + 5), (_M32, _kernels._JUMP_STEPS)])
+def test_xorshift_states_match_the_scalar_stream(state, count):
+    want = []
+    s = state
+    for _ in range(count):
+        s = s ^ ((s << 13) & _M32)
+        s = s ^ (s >> 17)
+        s = s ^ ((s << 5) & _M32)
+        want.append(s)
+    got, last = _kernels._xorshift_states(state, count)
+    assert got.tolist() == want
+    assert last == s
 
 
 def _blob_data(seed=0):
@@ -123,3 +239,25 @@ def test_dbscan_labels_dispatch():
     labels = _kernels.dbscan_labels(X, 0.5, 3)
     assert labels.shape == (50,)
     assert set(labels) == {0, 1, -1}
+
+
+def test_train_bundle_does_not_import_scipy_sparse(tmp_path):
+    """DBSCAN labels its core components with numpy alone, so training
+    never pays for importing scipy.sparse."""
+    code = (
+        "import sys\n"
+        "from provstp import _kernels, cli\n"
+        "from provstp.evalgen import GenConfig, write_scenario\n"
+        "calls = []\n"
+        "real = _kernels.dbscan_labels\n"
+        "_kernels.dbscan_labels = lambda *a: calls.append(len(a[0])) or real(*a)\n"
+        "events, _ = write_scenario('benign-only', 7, sys.argv[1], GenConfig(duration=60.0))\n"
+        "cli.train_bundle(cli._batches(events, 10.0), 'events.jsonl')\n"
+        "assert calls, 'DBSCAN never ran'\n"
+        "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
