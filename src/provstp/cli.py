@@ -227,6 +227,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ParseError) as exc:
         print("run failed: %s" % exc, file=sys.stderr)
         return 2
+    finally:
+        if not cfg.store_dir:
+            shutil.rmtree(store_dir, ignore_errors=True)
     seconds = time.perf_counter() - started
 
     summary = {

@@ -138,11 +138,11 @@ class EmbeddingModel:
                 "negatives": self.config.negatives,
                 "buckets": self.config.buckets,
             },
-            "words": {t: list(v) for t, v in self.words.items()},
-            "subword_buckets": {str(i): list(v) for i, v in self.buckets.items()},
+            "words": {t: v.tolist() for t, v in self.words.items()},
+            "subword_buckets": {str(i): v.tolist() for i, v in self.buckets.items()},
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
+            fh.write(json.dumps(doc, sort_keys=True))
 
     @classmethod
     def load(cls, path: str) -> "EmbeddingModel":

@@ -210,9 +210,9 @@ def test_run_twice_byte_identical_alerts(data_dir, model_dir, tmp_path, capsys):
 
 
 def test_run_reads_stdin(data_dir, model_dir, tmp_path, capsys, monkeypatch):
-    with open(data_dir / "quiet" / "events.jsonl", encoding="utf-8") as fh:
+    with open(data_dir / "quiet" / "events.jsonl", "rb") as fh:
         payload = fh.read()
-    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8"))
     rc = main(["run", "--input", "-", "--model-dir", str(model_dir),
                "--out", str(tmp_path / "out"),
                "--store-dir", str(tmp_path / "store")])
@@ -334,3 +334,118 @@ def test_defaults_without_any_flags():
     assert (cfg.alpha, cfg.beta, cfg.gamma, cfg.theta) == (0.9, 100.0, 1.0, 10)
     assert cfg.grubbs_alpha == 0.05
     assert cfg.stp == "isg"
+
+
+def test_run_invalid_utf8_line_fails_cleanly_after_earlier_windows(data_dir, model_dir,
+                                                                   tmp_path, capsys):
+    with open(data_dir / "webshell" / "events.jsonl", "rb") as fh:
+        payload = fh.read()
+    n_lines = payload.count(b"\n")
+    stream = tmp_path / "events.jsonl"
+    stream.write_bytes(payload + b'{"host": "\xff"}\n')
+    rc = main(["run", "--input", str(stream), "--model-dir", str(model_dir),
+               "--out", str(tmp_path / "out"), "--store-dir", str(tmp_path / "store")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: line %d: not UTF-8: " % (n_lines + 1))
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert glob.glob(str(tmp_path / "out" / "alert-*.json"))  # sealed windows ran
+
+
+def test_run_removes_its_temporary_store(data_dir, model_dir, tmp_path, capsys, monkeypatch):
+    import tempfile
+
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmp))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"ts": 0}\n')
+    for stream, code in ((data_dir / "quiet" / "events.jsonl", 0), (bad, 2)):
+        rc = main(["run", "--input", str(stream), "--model-dir", str(model_dir),
+                   "--out", str(tmp_path / "out")])
+        assert rc == code
+        assert glob.glob(str(tmp / "provstp-store-*")) == []
+
+
+def _run_cli(args, **kwargs):
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.Popen([sys.executable, "-m", "provstp.cli"] + args, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_run_reads_stdin_from_a_pipe(data_dir, model_dir, tmp_path):
+    import subprocess
+
+    with open(data_dir / "quiet" / "events.jsonl", "rb") as fh:
+        payload = fh.read()
+    proc = _run_cli(["run", "--input", "-", "--model-dir", str(model_dir),
+                     "--out", str(tmp_path / "out"), "--store-dir", str(tmp_path / "store")],
+                    stdin=subprocess.PIPE)
+    out, err = proc.communicate(payload, timeout=120)
+    assert proc.returncode == 0, err
+    assert json.loads(out.decode().splitlines()[-1])["events"] == 12000
+
+
+def _live_in_group(pgid):
+    """Pids in process group pgid that are not zombies."""
+    live = []
+    for path in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(path, encoding="ascii", errors="replace") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        state, _, pgrp = stat[stat.rindex(")") + 2:].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            live.append(int(path.split("/")[2]))
+    return live
+
+
+@pytest.mark.parametrize("signame,to_group", [("SIGTERM", False), ("SIGINT", False),
+                                              ("SIGINT", True)],
+                         ids=["term", "int", "int-group"])
+def test_signal_to_run_leaves_no_process(data_dir, model_dir, tmp_path, child_pids, signame,
+                                         to_group):
+    import signal
+    import subprocess
+    import time
+
+    with open(data_dir / "quiet" / "events.jsonl", "rb") as fh:
+        head = b"".join(fh.readlines()[:3000])
+    proc = _run_cli(["run", "--input", "-", "--model-dir", str(model_dir),
+                     "--out", str(tmp_path / "out"), "--store-dir", str(tmp_path / "store")],
+                    stdin=subprocess.PIPE, start_new_session=True)
+    try:
+        proc.stdin.write(head)
+        proc.stdin.flush()
+        deadline = time.monotonic() + 60
+        while not child_pids(proc.pid):  # the decoder is up
+            assert time.monotonic() < deadline and proc.poll() is None
+            time.sleep(0.05)
+        time.sleep(1.0)  # both now wait: run for the decoder, the decoder for stdin
+        signum = getattr(signal, signame)
+        if to_group:
+            os.killpg(proc.pid, signum)
+        else:
+            os.kill(proc.pid, signum)
+        # Closing stdin lets a decoder whose reader died see EOF, then EPIPE.
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    deadline = time.monotonic() + 30
+    while _live_in_group(proc.pid):
+        assert time.monotonic() < deadline, _live_in_group(proc.pid)
+        time.sleep(0.05)
+    err = err.decode()
+    assert "BrokenPipe" not in err and "_worker" not in err and "_decode_to" not in err
+    if signame == "SIGTERM":
+        assert err == ""
+    else:
+        assert err.count("Traceback") <= 1 and err.endswith("KeyboardInterrupt\n")

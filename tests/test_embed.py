@@ -163,6 +163,34 @@ def test_model_round_trip(tmp_path):
     assert np.array_equal(m.embed_text("/alpha/beta"), m2.embed_text("/alpha/beta"))
 
 
+def _save_by_streaming_scalars(m, path):
+    """The earlier writer: numpy scalars streamed through json.dump."""
+    import json
+
+    doc = {
+        "dimension": m.dimension,
+        "seed": m.config.seed,
+        "config": {"epochs": m.config.epochs, "lr": m.config.lr, "window": m.config.window,
+                   "negatives": m.config.negatives, "buckets": m.config.buckets},
+        "words": {t: list(v) for t, v in m.words.items()},
+        "subword_buckets": {str(i): list(v) for i, v in m.buckets.items()},
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
+
+
+def test_save_writes_the_bytes_of_the_scalar_writer(tmp_path):
+    m = _toy_model()
+    rng = np.random.default_rng(5)
+    # extremes of float formatting: tiny, huge, negative zero, integral
+    m.words["extremes"] = np.array([1e-310, -0.0, 3.0, 1.7976931348623157e308, -2.5e-7]
+                                   + list(rng.normal(size=SMALL.dimension - 5)))
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    m.save(str(new))
+    _save_by_streaming_scalars(m, str(old))
+    assert new.read_bytes() == old.read_bytes()
+
+
 def test_idf_table_round_trip(tmp_path):
     t = IdfTable(p=12, counts={"/tmp/a": 3, "1.2.3.4:5:6.7.8.9:10": 1})
     path = str(tmp_path / "idf.json")

@@ -169,19 +169,27 @@ def test_window_seconds_must_be_positive():
         list(window_stream(_events([0]), 0))
 
 
-@pytest.mark.parametrize("where,key,value", [
+_MALFORMED = pytest.mark.parametrize("where,key,value", [
     (None, "ts", "abc"),
     ("src", "pid", "x"),
     (None, "src", "oops"),
     ("src", "cmdline", 5),
     ("dst", "path", ["a"]),
     (None, "host", ["h"]),
-], ids=["ts-abc", "pid-x", "src-str", "cmdline-int", "path-list", "host-list"])
-def test_parse_event_malformed_value_raises_parse_error(where, key, value):
+    (None, "ts", 1 << 63),
+], ids=["ts-abc", "pid-x", "src-str", "cmdline-int", "path-list", "host-list", "ts-int64"])
+
+
+def _malformed_line(where, key, value):
     obj = json.loads(_line(0))
     (obj[where] if where else obj)[key] = value
+    return json.dumps(obj)
+
+
+@_MALFORMED
+def test_parse_event_malformed_value_raises_parse_error(where, key, value):
     with pytest.raises(ParseError) as exc:
-        parse_event(json.dumps(obj), 7)
+        parse_event(_malformed_line(where, key, value), 7)
     assert exc.value.lineno == 7
 
 
@@ -277,3 +285,174 @@ def test_line_decode_matches_json_loads_on_any_text(line):
 
     assert _decode_outcome(lambda s: ingest._loads(s, 1), line) == \
         _decode_outcome(json.loads, line)
+
+
+def _read_until_error(path):
+    """The events read_events yields before it raises, and what it raises."""
+    got = []
+    with pytest.raises(ParseError) as exc:
+        for ev in read_events(path):
+            got.append(ev)
+    return got, exc.value
+
+
+def _parse_lines(lines):
+    table = {}
+    return [parse_event(line, n, table) for n, line in enumerate(lines, start=1)]
+
+
+def test_read_events_invalid_utf8_line_is_a_parse_error(tmp_path):
+    p = tmp_path / "ev.jsonl"
+    p.write_bytes((_line(0) + "\n").encode() + b'{"ts": 1, "host": "\\xff\xfe"}\n'
+                  + (_line(2) + "\n").encode())
+    got, err = _read_until_error(str(p))
+    assert got == _parse_lines([_line(0)])
+    assert err.lineno == 2
+    assert str(err).startswith("line 2: not UTF-8: ")
+
+
+def _fixed_width(line, width=256):
+    """line with a padding field that makes it exactly width bytes, newline included."""
+    obj = json.loads(line)
+    obj["pad"] = ""
+    obj["pad"] = "x" * (width - 1 - len(json.dumps(obj)))
+    text = json.dumps(obj) + "\n"
+    assert len(text.encode()) == width
+    return text
+
+
+@_MALFORMED
+def test_parse_error_past_a_chunk_boundary_follows_every_earlier_event(tmp_path, where, key,
+                                                                      value):
+    from provstp import ingest
+
+    # Lines of 256 bytes fill the worker's reads exactly, so its first
+    # chunk is lines 1..CHUNK_LINES and the bad line is the second line
+    # of the second chunk.
+    assert ingest._READ_BYTES % 256 == 0
+    good = [_fixed_width(_line(i, pid=i % 5, path="/tmp/f%d" % (i % 9)))
+            for i in range(ingest.CHUNK_LINES + 1)]
+    bad = _malformed_line(where, key, value)
+    p = tmp_path / "ev.jsonl"
+    p.write_text("".join(good) + bad + "\n" + _line(0) + "\n")
+    got, err = _read_until_error(str(p))
+    assert got == _parse_lines(good)
+    bad_lineno = ingest.CHUNK_LINES + 2
+    with pytest.raises(ParseError) as want:
+        parse_event(bad, bad_lineno)
+    assert (str(err), err.lineno) == (str(want.value), bad_lineno)
+
+
+def _identity_pattern(events):
+    """For each event, the index of the first event holding the same
+    src and dst attrs objects."""
+    first = {}
+    return [(first.setdefault(id(e.src), i), first.setdefault(id(e.dst), i))
+            for i, e in enumerate(events)]
+
+
+def test_intern_bound_clears_both_tables_in_step(tmp_path, monkeypatch):
+    from provstp import ingest
+
+    monkeypatch.setattr(ingest, "INTERN_LIMIT", 4)
+    lines = [_line(i, pid=i % 7, path="/tmp/f%d" % (i % 11), host="h%d" % (i % 3))
+             for i in range(300)]
+    want = _parse_lines(lines)
+    table, ents, got = {}, [], []
+    for start in range(0, len(lines), 64):
+        chunk = ingest.decode_chunk([(s + "\n").encode() for s in lines[start:start + 64]],
+                                    table, start + 1)
+        assert chunk.error is None and len(table) <= 4
+        for ev in ingest._chunk_events(chunk, ents):
+            assert len(ents) <= 4
+            got.append(ev)
+    assert got == want
+    assert _identity_pattern(got) == _identity_pattern(want)
+    p = tmp_path / "ev.jsonl"
+    p.write_text("\n".join(lines) + "\n")
+    forked = list(read_events(str(p)))
+    assert forked == want
+    assert _identity_pattern(forked) == _identity_pattern(want)
+
+
+def test_line_endings_and_numbers_follow_text_mode(tmp_path):
+    from provstp import ingest
+
+    # A "\r\n" split between two reads, lone "\r" ends, blank lines, and a
+    # malformed line whose number and message count them all as text mode does.
+    head = _line(0) + "\r\n"
+    filler = _fixed_width(_line(1), ingest._READ_BYTES - len(head))[:-1] + "\r"
+    body = ("\n" + _line(2) + "\r" + _line(3) + "\r\r\n \n" + _line(4) + "\r\n"
+            + '{"ts": \r\n' + _line(5))
+    p = tmp_path / "ev.jsonl"
+    p.write_bytes((head + filler + body).encode())
+    assert len(head + filler) == ingest._READ_BYTES
+    with open(p, "r", encoding="utf-8") as fh:
+        text_lines = list(fh)
+    assert len(text_lines) == 9 and text_lines[1].endswith("x\"}\n")
+    got, err = _read_until_error(str(p))
+    table = {}
+    assert got == [parse_event(text_lines[n - 1], n, table) for n in (1, 2, 3, 4, 7)]
+    with pytest.raises(ParseError) as want:
+        parse_event(text_lines[7], 8)
+    assert (str(err), err.lineno) == (str(want.value), 8)
+
+
+def _big_stream(tmp_path, n=3 * 8192):
+    p = tmp_path / "ev.jsonl"
+    p.write_text("".join(_line(i, pid=i % 13) + "\n" for i in range(n)))
+    return str(p)
+
+
+def test_closing_read_events_early_reaps_the_worker(tmp_path, child_pids):
+    before = child_pids()
+    gen = read_events(_big_stream(tmp_path))
+    assert next(gen).ts == 0
+    assert len(child_pids() - before) == 1
+    gen.close()
+    assert child_pids() == before
+
+
+@pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
+def test_exception_in_the_consumer_reaps_the_worker(tmp_path, child_pids, exc_type):
+    before = child_pids()
+    stream = _big_stream(tmp_path)
+
+    def consume():
+        for ev in read_events(stream):
+            if ev.ts == 100:
+                assert len(child_pids() - before) == 1
+                raise exc_type("stop")
+
+    with pytest.raises(exc_type):
+        consume()
+    assert child_pids() == before
+
+
+def test_stdin_lines_arrive_before_eof_and_close_kills_a_waiting_worker(monkeypatch,
+                                                                        child_pids):
+    import itertools
+    import os
+    import signal
+
+    def timeout(signum, frame):
+        raise TimeoutError("lines written to stdin did not arrive")
+
+    before = child_pids()
+    r, w = os.pipe()
+    os.write(w, (_line(0) + "\n" + _line(1) + "\n").encode())
+    stdin = open(r, "r", encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(20)
+    gen = read_events("-")
+    try:
+        # The writer stays open, so the worker waits for more input.
+        assert [ev.ts for ev in itertools.islice(gen, 2)] == [0, 1]
+    finally:
+        gen.close()
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+        os.close(w)
+        stdin.close()
+    assert child_pids() == before
