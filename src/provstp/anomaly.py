@@ -276,11 +276,7 @@ def window_process_features(g) -> List[Tuple[str, str, str, List[str], List[str]
             continue
         paths: List[str] = []
         quads: List[str] = []
-        seen = set()
         for nb in g.undirected[nid]:
-            if nb in seen:
-                continue
-            seen.add(nb)
             nrec = g.nodes[nb]
             if nrec.kind == FILE:
                 paths.append(nrec.attrs.path)

@@ -33,9 +33,9 @@ from .evalgen import SCENARIOS, GenConfig, evaluate, write_scenario
 from .ingest import (DEFAULT_WINDOW_SECONDS, ParseError, WindowBatch,
                      read_events, window_stream)
 from .model import PROCESS, WindowGraph, build_window_graph
-from .stp import IsgParams, fanout
+from .stp import STEINER, IsgParams, fanout
 
-STP_CHOICES = ("isg", "greedy", "kou", "mehlhorn")
+STP_CHOICES = ("isg",) + tuple(STEINER)
 
 
 @dataclass

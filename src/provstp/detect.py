@@ -113,28 +113,19 @@ def steiner_window_hopsets(terminals: List[str], g: WindowGraph,
                            window_index: int, algorithm: str) -> List[Hopset]:
     """Baseline subgraph construction: a Steiner tree per terminal
     component instead of bounded neighborhoods, for run/bench ablation."""
-    edges = steiner_forest(g, terminals, algorithm)
-    # a terminal with no tree edge is a component of its own
-    adj: Dict[str, Set[str]] = {t: set() for t in terminals}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
     out: List[Hopset] = []
-    seen: Set[str] = set()
-    for t in sorted(set(terminals)):
-        if t in seen or t not in g.nodes:
-            continue
-        nodes = set(bfs(adj, [t])[0])
-        seen |= nodes
-        terms = {x for x in terminals if x in nodes}
-        hops = bfs(adj, sorted(terms))[0]
+    for terms, edges in steiner_forest(g.undirected, terminals, algorithm):
+        adj: Dict[str, Set[str]] = {t: set() for t in terms}
+        for u, v in edges:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        hops = bfs(adj, terms)[0]
         members = {}
-        for n in sorted(nodes):
+        for n in sorted(adj):
             as_n = scores.get(n, 0.0)
             members[n] = MemberRec(as_score=as_n, hops=hops[n],
                                    iv=importance(as_n, fanout(n, g), hops[n], p))
-        comp_edges = {e for e in edges if e[0] in nodes and e[1] in nodes}
-        hs = Hopset(terminals=terms, members=members, edges=comp_edges,
+        hs = Hopset(terminals=set(terms), members=members, edges=edges,
                     last_window=window_index)
         hs.has = hopset_score(hs)
         out.append(hs)

@@ -388,12 +388,6 @@ def write_scenario(name: str, seed: int, out_dir: str,
     return events_path, truth_path
 
 
-def _alert_members(alert) -> Set[str]:
-    if hasattr(alert, "members"):
-        return set(alert.members)
-    return set(alert["members"])
-
-
 def graph_metrics(alerts: Sequence, truth: dict) -> Tuple[float, float]:
     """Campaign-level scoring: an alert is a true positive if it contains
     at least one attack node; a campaign with no covering alert is missed."""
@@ -401,13 +395,13 @@ def graph_metrics(alerts: Sequence, truth: dict) -> Tuple[float, float]:
     campaigns = [set(c) for c in truth["campaigns"]]
     gtp = gfp = 0
     for alert in alerts:
-        if _alert_members(alert) & attack:
+        if not attack.isdisjoint(alert["members"]):
             gtp += 1
         else:
             gfp += 1
     covered = 0
     for camp in campaigns:
-        if any(_alert_members(a) & camp for a in alerts):
+        if any(not camp.isdisjoint(a["members"]) for a in alerts):
             covered += 1
     gfn = len(campaigns) - covered
     precision = gtp / (gtp + gfp) if (gtp + gfp) else 1.0
@@ -422,7 +416,7 @@ def node_metrics(alerts: Sequence, truth: dict) -> Tuple[float, float]:
     attack = {n for n, flag in truth["nodes"].items() if flag}
     union: Set[str] = set()
     for alert in alerts:
-        union |= _alert_members(alert)
+        union.update(alert["members"])
     ntp = len(union & attack)
     nfp = len(union - attack)
     nfn = len(attack - union)

@@ -6,7 +6,8 @@ second core while the caller builds and scores windows.  The worker reads
 the input as bytes (stdin only ever in the worker), splits it into lines
 as text mode would, and hands batches of lines to `decode_chunk`, which
 validates, interns and rejects exactly as `parse_event` does.  It never
-builds an attrs object, a RawEvent or a numpy array.
+builds an attrs object, a RawEvent or a numpy array, and it closes every
+descriptor it inherited but its pipe and its input's.
 
 Wire format: one message per chunk over an `os.pipe`, an 8-byte length
 and a `marshal`led tuple.  A chunk holds about CHUNK_LINES lines as
@@ -64,8 +65,8 @@ class RawEvent:
     src: object
     dst_kind: str
     dst: object
-    src_id: str = ""  # NodeId of src; empty means compute it from src
-    dst_id: str = ""
+    src_id: str  # NodeId of src, fixed when the entity is interned
+    dst_id: str
 
 
 @dataclass(slots=True)
@@ -361,18 +362,18 @@ def _chunk_events(chunk: Chunk, ents: List[Entity]) -> Iterator[RawEvent]:
         yield RawEvent(ts, hosts[h], OPS[op], src_kind, src, dst_kind, dst, src_id, dst_id)
 
 
-def _line_batches(path: str) -> Iterator[Union[List[bytes], OSError]]:
-    """The raw lines of the input in batches to decode: CHUNK_LINES or
-    more while the input is ahead, fewer when a read finds it caught up.
+def _line_batches(fh) -> Iterator[Union[List[bytes], OSError]]:
+    """The raw lines of the binary input `fh` in batches to decode:
+    CHUNK_LINES or more while the input is ahead, fewer when a read finds
+    it caught up.
 
     Lines end at "\\n", "\\r\\n" or "\\r", each read as "\\n", as in text
-    mode.  An OSError from opening or reading comes last, after the
-    complete lines read before it.
+    mode.  An OSError from reading comes last, after the complete lines
+    read before it.
     """
     lines: List[bytes] = []
     tail = b""
     try:
-        fh = sys.stdin.buffer if path == "-" else open(path, "rb")
         while True:
             block = fh.read1(_READ_BYTES)
             data = tail + block
@@ -412,10 +413,18 @@ def _receive(pipe) -> Optional[tuple]:
 
 
 def _decode_to(path: str, out):
-    """Decode the input into chunk messages on `out`, then say how it ended."""
+    """Open the input, close every other inherited descriptor, decode the
+    input into chunk messages on `out`, then say how it ended."""
     table: Dict[tuple, int] = {}
     lineno = 1
-    for lines in _line_batches(path):
+    try:
+        fh = sys.stdin.buffer if path == "-" else open(path, "rb")
+    except OSError as exc:
+        batches = [exc]
+    else:
+        _close_inherited(out, fh)
+        batches = _line_batches(fh)
+    for lines in batches:
         if isinstance(lines, OSError):
             _send(out, ("oserror", lines.args, lines.filename))
             return
@@ -427,6 +436,21 @@ def _decode_to(path: str, out):
             return
         lineno += len(lines)
     _send(out, ("end",))
+
+
+def _close_inherited(out, fh):
+    """Close every descriptor the decoder inherited but those of its pipe
+    `out` and its input `fh` (an in-memory input has none).  The input is
+    open first, so a path such as /dev/fd/N still names a live descriptor."""
+    keep = [out.fileno()]
+    try:
+        keep.append(fh.fileno())
+    except (OSError, ValueError):  # io.UnsupportedOperation
+        pass
+    keep.sort()
+    for low, high in zip([-1] + keep, keep + [os.sysconf("SC_OPEN_MAX")]):
+        if low + 1 < high:  # closerange(0, 0) closes every descriptor on Python 3.11
+            os.closerange(low + 1, high)
 
 
 def _worker(path: str, fd: int):
@@ -460,7 +484,6 @@ def read_events(path: str, counters: Optional[Dict[str, int]] = None) -> Iterato
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:
-        os.close(r)
         _worker(path, w)
     try:
         os.close(w)

@@ -94,11 +94,11 @@ class NodeRec:
 class WindowGraph:
     """One window of the event stream plus its undirected unit-weight view.
 
-    The directed edge multiset keeps parallel edges for forensics; the
-    undirected adjacency collapses every (u, v) pair to a single edge of
-    weight 1, and first_op keeps the op of the first event on each pair,
-    keyed by the pair in sorted order.  Built single-threaded, then
-    treated as read-only.
+    The undirected adjacency collapses every (u, v) pair to a single edge
+    of weight 1, and first_op keeps the op of the first event on each
+    pair, keyed by the pair in sorted order.  The directed edge list is
+    read only by tests and by perfbench's traced `model.edges` count.
+    Built single-threaded, then treated as read-only.
     """
 
     def __init__(self, window_index: int = 0):
@@ -117,12 +117,11 @@ class WindowGraph:
         return rec
 
     def add_event(self, ev) -> bool:
-        """Add one event; ev.src_id/dst_id are used when the parser set them."""
+        """Add one event, whose endpoints are the nodes ev.src_id and ev.dst_id."""
         if not legal_op(ev.op, ev.src_kind, ev.dst_kind):
             self.rejected += 1
             return False
-        src = ev.src_id or entity_uuid(ev.src_kind, ev.src)
-        dst = ev.dst_id or entity_uuid(ev.dst_kind, ev.dst)
+        src, dst = ev.src_id, ev.dst_id
         self._node(src, ev.src_kind, ev.src).out_degree += 1
         self._node(dst, ev.dst_kind, ev.dst).in_degree += 1
         self.edges.append(Edge(src, dst, ev.op, ev.ts))

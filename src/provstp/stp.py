@@ -2,8 +2,10 @@
 
 Each suspicious process (terminal) gets a hopset: the theta-bounded,
 importance-guided neighborhood that approximates its Steiner component
-online.  Baselines (online greedy, Kou, Mehlhorn) and a brute-force
-optimum are provided for benchmarking and property tests.
+online; `isg_hopset` reads the window graph.  The baselines (online
+greedy, Kou, Mehlhorn, listed in STEINER) and the brute-force optimum,
+for benchmarking and property tests, take a plain undirected adjacency,
+node -> set of neighbours, such as `WindowGraph.undirected`.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ def _pair(u: str, v: str) -> Pair:
     return (u, v) if u < v else (v, u)
 
 
-def _adjacency(g) -> Dict[str, Set[str]]:
-    return g.undirected if hasattr(g, "undirected") else g
-
-
 def fanout(n: str, g) -> float:
     rec = g.nodes[n]
     return rec.out_degree / (rec.in_degree + 1)
@@ -77,7 +75,7 @@ def isg_hopset(t: str, g, scores: Dict[str, float], p: IsgParams,
     time, ties broken by ascending digest); expansion stops once theta
     nodes are discovered, the terminal included.
     """
-    adj = _adjacency(g)
+    adj = g.undirected
     iv_t = importance(scores.get(t, 0.0), fanout(t, g), 0, p)
     members = {t: MemberRec(scores.get(t, 0.0), 0, iv_t)}
     edges: Set[Pair] = set()
@@ -259,10 +257,9 @@ def _walk_up(par: Dict[str, Optional[str]], node: str) -> List[Pair]:
     return path
 
 
-def greedy_online_stp(g, terminal_stream: Iterable[str]) -> Set[Pair]:
+def greedy_online_stp(adj: Dict[str, Set[str]], terminal_stream: Iterable[str]) -> Set[Pair]:
     """Online greedy: connect each arriving terminal to the nearest prior
     terminal by a shortest path; the first terminal adds nothing."""
-    adj = _adjacency(g)
     solution: Set[Pair] = set()
     prior: List[str] = []
     for t in terminal_stream:
@@ -304,9 +301,8 @@ def _spanning_tree_of_subgraph(nodes: Set[str], adj: Dict[str, Set[str]]) -> Set
     return set(_kruskal(nodes, sub_edges))
 
 
-def kou_steiner(g, terminals: Sequence[str]) -> Set[Pair]:
+def kou_steiner(adj: Dict[str, Set[str]], terminals: Sequence[str]) -> Set[Pair]:
     """Metric closure over terminals -> MST -> expand paths -> re-span -> prune."""
-    adj = _adjacency(g)
     terms = sorted(set(terminals))
     if len(terms) < 2:
         return set()
@@ -330,10 +326,9 @@ def kou_steiner(g, terminals: Sequence[str]) -> Set[Pair]:
     return _prune_nonterminal_leaves(tree, set(terms))
 
 
-def mehlhorn_steiner(g, terminals: Sequence[str]) -> Set[Pair]:
+def mehlhorn_steiner(adj: Dict[str, Set[str]], terminals: Sequence[str]) -> Set[Pair]:
     """Voronoi-partition 2-approximation: one multi-source BFS, then the
     terminal distance graph's MST, expanded and pruned like Kou."""
-    adj = _adjacency(g)
     terms = sorted(set(terminals))
     if len(terms) < 2:
         return set()
@@ -376,9 +371,8 @@ def mehlhorn_steiner(g, terminals: Sequence[str]) -> Set[Pair]:
     return _prune_nonterminal_leaves(tree, set(terms))
 
 
-def optimal_steiner_bruteforce(g, terminals: Sequence[str]) -> Set[Pair]:
+def optimal_steiner_bruteforce(adj: Dict[str, Set[str]], terminals: Sequence[str]) -> Set[Pair]:
     """Exhaustive minimum Steiner tree for unit weights on <= 12 nodes."""
-    adj = _adjacency(g)
     terms = sorted(set(terminals))
     all_nodes = sorted(adj)
     if len(all_nodes) > 12:
@@ -409,19 +403,25 @@ def optimal_steiner_bruteforce(g, terminals: Sequence[str]) -> Set[Pair]:
     return _spanning_tree_of_subgraph(best_nodes, adj)
 
 
-def steiner_forest(g, terminals: Sequence[str], algorithm: str) -> Set[Pair]:
-    """Run a Steiner baseline per connected component of the terminals."""
-    adj = _adjacency(g)
+STEINER = {"greedy": greedy_online_stp, "kou": kou_steiner, "mehlhorn": mehlhorn_steiner}
+
+
+def steiner_forest(adj: Dict[str, Set[str]], terminals: Sequence[str],
+                   algorithm: str) -> List[Tuple[List[str], Set[Pair]]]:
+    """Run a STEINER baseline per connected component of the terminals.
+
+    Returns (sorted component terminals, tree edges) per component,
+    ordered by smallest terminal; a lone terminal has no edges.
+    Terminals outside adj are ignored.
+    """
+    build = STEINER[algorithm]
     terms = sorted(set(t for t in terminals if t in adj))
-    comp_of: Dict[str, int] = {}
-    comps: List[List[str]] = []
+    pending = set(terms)
+    out: List[Tuple[List[str], Set[Pair]]] = []
     for t in terms:
-        if t in comp_of:
+        if t not in pending:
             continue
-        cid = len(comps)
-        comps.append([])
         queue = deque([t])
-        comp_of[t] = cid
         seen = {t}
         while queue:
             u = queue.popleft()
@@ -429,13 +429,7 @@ def steiner_forest(g, terminals: Sequence[str], algorithm: str) -> Set[Pair]:
                 if v not in seen:
                     seen.add(v)
                     queue.append(v)
-        for other in terms:
-            if other in seen and other not in comp_of:
-                comp_of[other] = cid
-        comps[cid] = [x for x in terms if comp_of.get(x) == cid]
-    fn = {"greedy": greedy_online_stp, "kou": kou_steiner, "mehlhorn": mehlhorn_steiner}[algorithm]
-    out: Set[Pair] = set()
-    for comp in comps:
-        if len(comp) >= 2:
-            out |= fn(g, comp)
+        comp = sorted(pending.intersection(seen))
+        pending.difference_update(comp)
+        out.append((comp, build(adj, comp) if len(comp) >= 2 else set()))
     return out

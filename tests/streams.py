@@ -1,6 +1,15 @@
-"""Shared synthetic stream builders for CLI and acceptance tests."""
+"""Shared synthetic stream and event builders for the tests."""
 
 import json
+
+from provstp.ingest import RawEvent
+from provstp.model import entity_uuid
+
+
+def event(op, src_kind, src, dst_kind, dst, ts=0):
+    """A RawEvent on host h1 with its NodeIds set, as the parser sets them."""
+    return RawEvent(ts=ts, host="h1", op=op, src_kind=src_kind, src=src, dst_kind=dst_kind,
+                    dst=dst, src_id=entity_uuid(src_kind, src), dst_id=entity_uuid(dst_kind, dst))
 
 
 def write_chain_stream(path, windows, procs, private_files=2, window_ms=10_000):

@@ -86,7 +86,7 @@ def stp_instances():
         rng = random.Random(1001)
         for _ in range(500):
             g, terms, scores = random_instance(rng)
-            opt = len(optimal_steiner_bruteforce(g, terms))
+            opt = len(optimal_steiner_bruteforce(g.undirected, terms))
             _INSTANCES.append((g, terms, scores, opt))
     return _INSTANCES
 
@@ -126,9 +126,9 @@ def test_criterion_01_offline_steiner_bounds():
     approx_violations = 0
     edge_violations = 0
     for g, terms, scores, opt in stp_instances():
-        if len(kou_steiner(g, terms)) > 2 * opt:
+        if len(kou_steiner(g.undirected, terms)) > 2 * opt:
             approx_violations += 1
-        if len(mehlhorn_steiner(g, terms)) > 2 * opt:
+        if len(mehlhorn_steiner(g.undirected, terms)) > 2 * opt:
             approx_violations += 1
         hopsets = [isg_hopset(t, g, scores, p) for t in sorted(terms)]
         merged = merge_hopsets(hopsets, p.theta)
@@ -144,7 +144,7 @@ def test_criterion_01_offline_steiner_bounds():
 def test_criterion_02_online_competitive_ratio():
     violations = 0
     for g, terms, _, opt in stp_instances():
-        cost = len(greedy_online_stp(g, terms))
+        cost = len(greedy_online_stp(g.undirected, terms))
         k = len(set(terms))
         if cost > 2.0 * max(1.0, math.log2(k)) * opt:
             violations += 1

@@ -16,9 +16,10 @@ from provstp.detect import (
     grubbs_outliers,
     process_window,
 )
-from provstp.ingest import RawEvent, WindowBatch
+from provstp.ingest import WindowBatch
 from provstp.model import FILE, IP, PROCESS, FileAttrs, IpAttrs, ProcessAttrs
 from provstp.stp import IsgParams
+from streams import event
 
 
 # published one-sided critical values at alpha 0.05
@@ -79,8 +80,7 @@ def proc(pid, name, cmdline=None):
 
 
 def ev(ts, src, op, dst, src_kind=PROCESS, dst_kind=FILE):
-    return RawEvent(ts=ts, host="h1", op=op, src_kind=src_kind, src=src,
-                    dst_kind=dst_kind, dst=dst)
+    return event(op, src_kind, src, dst_kind, dst, ts)
 
 
 def window(idx, events):

@@ -413,6 +413,44 @@ def test_closing_read_events_early_reaps_the_worker(tmp_path, child_pids):
     assert child_pids() == before
 
 
+def test_worker_keeps_only_its_pipe_and_input(tmp_path, child_pids):
+    import os
+
+    stream = _big_stream(tmp_path)
+    r, w = os.pipe()  # a descriptor the caller holds, which the worker must not
+    callers_pipe = os.readlink("/proc/self/fd/%d" % r)
+    before = child_pids()
+    gen = read_events(stream)
+    try:
+        assert next(gen).ts == 0
+        (pid,) = child_pids() - before
+        fd_dir = "/proc/%d/fd" % pid
+        targets = sorted(os.readlink(os.path.join(fd_dir, fd)) for fd in os.listdir(fd_dir))
+    finally:
+        gen.close()
+        os.close(r)
+        os.close(w)
+    # the input file and the write end of its own pipe, nothing else
+    assert len(targets) == 2, targets
+    assert targets[0] == os.path.realpath(stream)
+    assert targets[1].startswith("pipe:") and targets[1] != callers_pipe
+
+
+def test_input_path_can_name_an_inherited_descriptor(child_pids):
+    import os
+
+    before = child_pids()
+    r, w = os.pipe()
+    os.write(w, (_line(0) + "\n" + _line(1) + "\n").encode())
+    os.close(w)
+    try:
+        # as bash passes `--input <(zcat log.gz)`
+        assert [ev.ts for ev in read_events("/dev/fd/%d" % r)] == [0, 1]
+    finally:
+        os.close(r)
+    assert child_pids() == before
+
+
 @pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
 def test_exception_in_the_consumer_reaps_the_worker(tmp_path, child_pids, exc_type):
     before = child_pids()

@@ -17,16 +17,11 @@ from provstp.model import (
     entity_uuid,
     legal_op,
 )
+from streams import event
 
 
 def _proc(pid, cmdline, tid=None, name="p", uid=0):
     return ProcessAttrs(pid=pid, tid=pid if tid is None else tid, uid=uid, name=name, cmdline=cmdline)
-
-
-def _event(op, src_kind, src, dst_kind, dst, ts=0):
-    from provstp.ingest import RawEvent
-
-    return RawEvent(ts=ts, host="h1", op=op, src_kind=src_kind, src=src, dst_kind=dst_kind, dst=dst)
 
 
 def test_uuid_empty_path_matches_reference_md5():
@@ -87,7 +82,7 @@ def test_empty_graph():
 
 
 def test_single_fork_event():
-    ev = _event("fork", "process", _proc(1, "init"), "process", _proc(2, "sh"))
+    ev = event("fork", "process", _proc(1, "init"), "process", _proc(2, "sh"))
     g = build_window_graph([ev])
     assert len(g.nodes) == 2
     assert len(g.edges) == 1
@@ -98,8 +93,8 @@ def test_single_fork_event():
 def test_opposite_directed_edges_collapse_in_undirected_view():
     p = _proc(1, "worker")
     f = FileAttrs(path="/tmp/x")
-    e1 = _event("write", "process", p, "file", f)
-    e2 = _event("read", "file", f, "process", p)
+    e1 = event("write", "process", p, "file", f)
+    e2 = event("read", "file", f, "process", p)
     g = build_window_graph([e1, e2])
     assert len(g.edges) == 2
     pid = entity_uuid("process", p)
@@ -109,8 +104,8 @@ def test_opposite_directed_edges_collapse_in_undirected_view():
 
 
 def test_illegal_op_rejected_and_counted():
-    bad = _event("fork", "process", _proc(1, "a"), "file", FileAttrs(path="/x"))
-    ok = _event("write", "process", _proc(1, "a"), "file", FileAttrs(path="/x"))
+    bad = event("fork", "process", _proc(1, "a"), "file", FileAttrs(path="/x"))
+    ok = event("write", "process", _proc(1, "a"), "file", FileAttrs(path="/x"))
     g = build_window_graph([bad, ok])
     assert g.rejected == 1
     assert len(g.edges) == 1
@@ -120,10 +115,10 @@ def test_degree_sums_match_directed_edge_count():
     p1, p2 = _proc(1, "a"), _proc(2, "b")
     f = FileAttrs(path="/var/log/syslog")
     events = [
-        _event("fork", "process", p1, "process", p2),
-        _event("write", "process", p2, "file", f),
-        _event("write", "process", p2, "file", f),
-        _event("read", "file", f, "process", p1),
+        event("fork", "process", p1, "process", p2),
+        event("write", "process", p2, "file", f),
+        event("write", "process", p2, "file", f),
+        event("read", "file", f, "process", p1),
     ]
     g = build_window_graph(events)
     assert sum(r.in_degree for r in g.nodes.values()) == len(g.edges) == 4
@@ -133,7 +128,7 @@ def test_degree_sums_match_directed_edge_count():
 def test_parallel_edges_kept_directed_but_single_undirected():
     p = _proc(9, "logger")
     f = FileAttrs(path="/var/log/app")
-    events = [_event("write", "process", p, "file", f, ts=i) for i in range(5)]
+    events = [event("write", "process", p, "file", f, ts=i) for i in range(5)]
     g = build_window_graph(events)
     assert len(g.edges) == 5
     assert g.undirected[entity_uuid("process", p)] == {entity_uuid("file", f)}
@@ -184,15 +179,16 @@ def test_interned_parse_builds_same_graph_as_plain_events(rows):
              for ts, (op, s, d) in enumerate(rows)]
     table = {}
     parsed = [parse_event(line, n, table) for n, line in enumerate(lines, start=1)]
-    plain = [dataclasses.replace(ev, src_id="", dst_id="") for ev in parsed]
-    assert all(ev.src_id and ev.dst_id for ev in parsed)
+    assert all(ev.src_id == entity_uuid(ev.src_kind, ev.src)
+               and ev.dst_id == entity_uuid(ev.dst_kind, ev.dst) for ev in parsed)
+    plain = [event(ev.op, ev.src_kind, ev.src, ev.dst_kind, ev.dst, ev.ts) for ev in parsed]
     assert _graph_state(build_window_graph(parsed)) == _graph_state(build_window_graph(plain))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_event_rows)
 def test_first_op_is_first_event_on_each_pair(rows):
-    events = [_event(op, *_ENTITIES[s], *_ENTITIES[d], ts=ts)
+    events = [event(op, *_ENTITIES[s], *_ENTITIES[d], ts=ts)
               for ts, (op, s, d) in enumerate(rows)]
     g = build_window_graph(events)
     ref = {}

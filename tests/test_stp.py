@@ -365,7 +365,7 @@ def test_edge_bound_and_competitive_ratio():
 
 def test_steiner_forest_per_component():
     g = {"a": {"b"}, "b": {"a"}, "c": {"d"}, "d": {"c"}, "e": set()}
-    out = steiner_forest(g, ["a", "b", "c", "d", "e"], "kou")
-    assert out == {("a", "b"), ("c", "d")}
+    out = steiner_forest(g, ["e", "d", "c", "b", "a"], "kou")
+    assert out == [(["a", "b"], {("a", "b")}), (["c", "d"], {("c", "d")}), (["e"], set())]
     out2 = steiner_forest(g, ["a", "e"], "greedy")
-    assert out2 == set()
+    assert out2 == [(["a"], set()), (["e"], set())]
