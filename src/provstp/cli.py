@@ -11,6 +11,7 @@ import argparse
 import glob
 import json
 import os
+import resource
 import shutil
 import sys
 import tempfile
@@ -201,6 +202,14 @@ def _load_bundle(model_dir: str) -> Optional[ModelBundle]:
         return None
 
 
+def _cpu_seconds() -> Tuple[float, float]:
+    """User plus system CPU seconds of this process, and of its children
+    that have ended and been reaped, with theirs."""
+    own, kids = (resource.getrusage(who)
+                 for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return own.ru_utime + own.ru_stime, kids.ru_utime + kids.ru_stime
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     if not cfg.model_dir:
@@ -219,6 +228,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         state = _fresh_state(cfg, bundle, store_dir)
         os.makedirs(args.out, exist_ok=True)
         started = time.perf_counter()
+        cpu_started = _cpu_seconds()
         for batch in _batches(args.input, cfg.window_seconds, counters):
             n_events += len(batch.events)
             n_windows += 1
@@ -231,6 +241,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not cfg.store_dir:
             shutil.rmtree(store_dir, ignore_errors=True)
     seconds = time.perf_counter() - started
+    # The decoders are reaped once the batches end, so they count as children.
+    cpu_s, decoder_cpu_s = (b - a for a, b in zip(cpu_started, _cpu_seconds()))
 
     summary = {
         "events": n_events,
@@ -243,6 +255,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "dropped_late": counters.get("dropped_late", 0),
         "illegal_pairs": state.counters.get("illegal_pairs", 0),
         "seconds": round(seconds, 6),
+        "cpu_s": round(cpu_s, 6),
+        "decoder_cpu_s": round(decoder_cpu_s, 6),
         "eps": round(n_events / seconds, 2) if seconds > 0 else None,
         "out": args.out,
         "algorithm": cfg.stp,

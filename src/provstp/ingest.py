@@ -1,35 +1,50 @@
 """JSONL audit-event parsing and event-time windowing.
 
-`read_events` decodes the stream in a worker process that it forks for
-the purpose, so that JSON decoding, most of the cost of ingest, runs on a
-second core while the caller builds and scores windows.  The worker reads
-the input as bytes (stdin only ever in the worker), splits it into lines
-as text mode would, and hands batches of lines to `decode_chunk`, which
-validates, interns and rejects exactly as `parse_event` does.  It never
-builds an attrs object, a RawEvent or a numpy array, and it closes every
-descriptor it inherited but its pipe and its input's.
+`read_events` decodes the stream in two decoder processes, so that JSON
+decoding, most of the cost of ingest, runs beside the caller, which
+builds and scores windows.  On a 2-core machine the three share the two
+cores.
+
+Decoder A, forked by the reader, is the only process that reads the
+input (stdin only ever there).  It reads it as bytes, splits it into
+lines as text mode would, and cuts the lines into batches of CHUNK_LINES
+(fewer when a read finds the input caught up).  It decodes the even
+batches itself and forwards the odd ones, with their first line number,
+to decoder B, which it forks and reaps.  Both hand batches to
+`decode_chunk`, which validates, interns and rejects exactly as
+`parse_event` does.  Neither builds an attrs object, a RawEvent or a
+numpy array, and each closes every inherited descriptor but its own
+pipes (and, in A, the input's).  The reader takes chunk i from decoder
+i mod 2.  Each decoder's pipe is grown to 1 MB where the kernel allows,
+so that a decoder with work to do seldom waits for the reader.
 
 Wire format: one message per chunk over an `os.pipe`, an 8-byte length
-and a `marshal`led tuple.  A chunk holds about CHUNK_LINES lines as
-integer columns, `ts` (int64) and op code, host index, src id and dst id
-(int32), plus the chunk's distinct hosts, the intern keys of the entities
-it names first (in id order) and its rejected-op count.  A chunk that
-stops at a malformed line carries that line's ParseError, which the
-reader raises once it has yielded every event before it.  The last
-message says how the input ended: its end, an OSError, or a crash.
+and a `marshal`led tuple.  A chunk holds integer columns, `ts` (int64)
+and op code, host index, src id and dst id (int32), plus the chunk's
+distinct hosts, the intern keys of every entity it names (in order of
+their chunk-local ids) and its rejected-op count.  A chunk that stops at
+a malformed line carries that line's ParseError, which the reader raises
+once it has yielded every event before it.  The message after the last
+chunk, in the next slot, says how the input ended: its end, an OSError,
+or a crash.
 
-The reader builds an attrs object and NodeId once per new entity and
-yields the same RawEvents that in-process parsing gives.  Pickling those
-objects, or WindowBatches, would cost more than parsing them; the columns
-cost the reader about half a microsecond per event.  The worker costs
-what in-process parsing did, so a pass spends a little more CPU time than
-before, across two cores, and ends sooner: on 80 000 events (2 cores,
-Python 3.11), 0.56-0.80 s in the worker and 0.39-0.50 s in the reader,
-against 0.90-1.24 s for parsing and detection in one process.
+The reader maps each chunk's keys through its own intern table, bounded
+by INTERN_LIMIT, and builds an attrs object and NodeId once per entity,
+so it yields the same RawEvents that in-process parsing gives.  Pickling
+those objects, or WindowBatches, would cost more than parsing them; the
+columns cost the reader about half a microsecond per event, and mapping
+the keys 6 ms a pass (about 90 keys a chunk, 1 650 distinct ones).  The
+two decoders spend a little more CPU time than one did, and the pass
+ends sooner: on 80 000 events (2 cores, Python 3.11), `provstp run`
+spent 0.50-0.52 s of CPU in the reader, which includes detection, and
+0.80-0.90 s in the decoders (about 0.45 s in A and 0.38 s in B),
+against 0.56-0.80 s in the one decoder before.
 """
 
 from __future__ import annotations
 
+import fcntl
+import itertools
 import json
 import marshal
 import os
@@ -79,10 +94,14 @@ class WindowBatch:
 # bounds the table to some 20 MB.
 INTERN_LIMIT = 1 << 15
 
-# Lines the worker decodes into one chunk when the input is ahead of it;
-# it sends a shorter chunk when a read finds no more input waiting.
-CHUNK_LINES = 8192
+# Lines a decoder decodes into one chunk when the input is ahead of it; a
+# shorter chunk goes out when a read finds no more input waiting.
+CHUNK_LINES = 2048
 _READ_BYTES = 1 << 16
+# Capacity asked for each decoder pipe.  A batch A forwards to B is some
+# 500 KB and a decoded chunk some 50 KB (on 200-byte lines), so with the
+# default 64 KB a decoder would wait for its reader at every message.
+_PIPE_BYTES = 1 << 20
 
 OPS = tuple(sorted(ALL_OPS))  # op code -> op
 _OP_CODES = {op: code for code, op in enumerate(OPS)}
@@ -223,6 +242,15 @@ def _build(key: tuple) -> Entity:
     return kind, attrs, entity_uuid(kind, attrs)
 
 
+def _intern(key: tuple, table: Dict[tuple, Entity]) -> Entity:
+    """Enter the entity of a checked key into an intern table, which is
+    cleared first if it holds INTERN_LIMIT entities."""
+    if len(table) >= INTERN_LIMIT:
+        table.clear()
+    ent = table[key] = _build(key)
+    return ent
+
+
 def _entity(obj, host: str, lineno: int, table: Dict[tuple, Entity]) -> Entity:
     """The interned entity that obj names.  A new entity's values are
     checked once, when it enters the table."""
@@ -230,9 +258,7 @@ def _entity(obj, host: str, lineno: int, table: Dict[tuple, Entity]) -> Entity:
     ent = table.get(key)
     if ent is None:
         _check_new(key, lineno)
-        if len(table) >= INTERN_LIMIT:
-            table.clear()
-        ent = table[key] = _build(key)
+        ent = _intern(key, table)
     return ent
 
 
@@ -258,13 +284,10 @@ def parse_event(line: str, lineno: int = 0,
 class Chunk:
     """Decoded lines as integer columns, one row per accepted event.
 
-    `src` and `dst` hold intern ids.  A row that names an entity for the
-    first time holds ~id instead (a negative number), and `keys` lists
-    those entities' intern keys in id order.  Ids restart from 0 when the
-    decoder clears its table at INTERN_LIMIT, so a new id 0 is the
-    reader's signal to clear its own.  `op` indexes OPS and `host`
-    indexes `hosts`.  `error` is the ParseError of the malformed line
-    that ended the chunk, if one did.
+    `src` and `dst` hold chunk-local entity ids, and `keys` lists the
+    intern key of every entity the chunk names, in id order.  `op`
+    indexes OPS and `host` indexes `hosts`.  `error` is the ParseError of
+    the malformed line that ended the chunk, if one did.
     """
 
     ts: array
@@ -278,27 +301,28 @@ class Chunk:
     error: Optional[ParseError]
 
 
-def _intern(key: tuple, lineno: int, table: Dict[tuple, int], keys: List[tuple]) -> int:
-    """Enter a new key into the decoder's table; returns ~id."""
+def _chunk_id(key: tuple, lineno: int, table: Dict[tuple, int], keys: List[tuple]) -> int:
+    """Check a key new to a chunk and enter it into the chunk's table;
+    returns its chunk-local id."""
     _check_new(key, lineno)
-    if len(table) >= INTERN_LIMIT:
-        table.clear()
-    i = table[key] = len(table)
+    i = table[key] = len(keys)
     keys.append(key)
-    return ~i
+    return i
 
 
-def decode_chunk(lines: Sequence[bytes], table: Dict[tuple, int], lineno: int = 1) -> Chunk:
+def decode_chunk(lines: Sequence[bytes], lineno: int = 1) -> Chunk:
     """Decode raw JSONL lines, the first of which is line `lineno`, into a Chunk.
 
-    Validation, interning, rejected ops and ParseError messages are those
-    of parse_event; a line that is not UTF-8 is malformed too.  `table`
-    maps the intern key of each entity in the stream to its id and
-    carries over from chunk to chunk.  Decoding stops at the first
-    malformed line.
+    Validation, rejected ops and ParseError messages are those of
+    parse_event; a line that is not UTF-8 is malformed too.  Entities are
+    interned in a table of the chunk's own, and a key is checked when it
+    enters that table: the check depends on the key alone, so it fails on
+    the same line as in a table that spans the stream.  Decoding stops at
+    the first malformed line.
     """
     ts_col, op_col, host_col, src_col, dst_col = (
         array("q"), array("i"), array("i"), array("i"), array("i"))
+    table: Dict[tuple, int] = {}
     hosts: Dict[str, int] = {}
     keys: List[tuple] = []
     rejected = 0
@@ -322,11 +346,11 @@ def decode_chunk(lines: Sequence[bytes], table: Dict[tuple, int], lineno: int = 
             key = _key(src_obj, host, lineno)
             src = table.get(key)
             if src is None:
-                src = _intern(key, lineno, table, keys)
+                src = _chunk_id(key, lineno, table, keys)
             key = _key(dst_obj, host, lineno)
             dst = table.get(key)
             if dst is None:
-                dst = _intern(key, lineno, table, keys)
+                dst = _chunk_id(key, lineno, table, keys)
             h = hosts.get(host)
             if h is None:
                 h = hosts[host] = len(hosts)
@@ -341,31 +365,21 @@ def decode_chunk(lines: Sequence[bytes], table: Dict[tuple, int], lineno: int = 
                  error)
 
 
-def _chunk_events(chunk: Chunk, ents: List[Entity]) -> Iterator[RawEvent]:
-    """The RawEvents of a chunk.  `ents` is the reader's side of the
-    intern table, entities by id, kept from chunk to chunk."""
-    new = map(_build, chunk.keys)
+def _chunk_events(chunk: Chunk, table: Dict[tuple, Entity]) -> Iterator[RawEvent]:
+    """The RawEvents of a chunk.  `table` is the reader's intern table,
+    kept from chunk to chunk, through which the chunk's keys are mapped."""
+    ents = [table.get(key) or _intern(key, table) for key in chunk.keys]
     hosts = chunk.hosts
     for ts, op, h, s, d in zip(chunk.ts, chunk.op, chunk.host, chunk.src, chunk.dst):
-        if s < 0:
-            s = ~s
-            if not s:
-                ents.clear()
-            ents.append(next(new))
         src_kind, src, src_id = ents[s]
-        if d < 0:
-            d = ~d
-            if not d:
-                ents.clear()
-            ents.append(next(new))
         dst_kind, dst, dst_id = ents[d]
         yield RawEvent(ts, hosts[h], OPS[op], src_kind, src, dst_kind, dst, src_id, dst_id)
 
 
 def _line_batches(fh) -> Iterator[Union[List[bytes], OSError]]:
     """The raw lines of the binary input `fh` in batches to decode:
-    CHUNK_LINES or more while the input is ahead, fewer when a read finds
-    it caught up.
+    CHUNK_LINES at a time while the input is ahead, the rest when a read
+    finds it caught up.
 
     Lines end at "\\n", "\\r\\n" or "\\r", each read as "\\n", as in text
     mode.  An OSError from reading comes last, after the complete lines
@@ -385,13 +399,14 @@ def _line_batches(fh) -> Iterator[Union[List[bytes], OSError]]:
             got = data.splitlines(True)
             tail = got.pop() if got and block and not got[-1].endswith(b"\n") else b""
             lines += got
-            if not block:
-                if lines:
-                    yield lines
-                return
-            if len(lines) >= CHUNK_LINES or len(block) < _READ_BYTES:
+            while len(lines) >= CHUNK_LINES:
+                yield lines[:CHUNK_LINES]
+                del lines[:CHUNK_LINES]
+            if lines and len(block) < _READ_BYTES:
                 yield lines
                 lines = []
+            if not block:
+                return
     except OSError as exc:
         if lines:
             yield lines
@@ -412,87 +427,178 @@ def _receive(pipe) -> Optional[tuple]:
     return marshal.loads(body) if body else None
 
 
-def _decode_to(path: str, out):
-    """Open the input, close every other inherited descriptor, decode the
-    input into chunk messages on `out`, then say how it ended."""
-    table: Dict[tuple, int] = {}
-    lineno = 1
-    try:
-        fh = sys.stdin.buffer if path == "-" else open(path, "rb")
-    except OSError as exc:
-        batches = [exc]
-    else:
-        _close_inherited(out, fh)
-        batches = _line_batches(fh)
-    for lines in batches:
-        if isinstance(lines, OSError):
-            _send(out, ("oserror", lines.args, lines.filename))
-            return
-        c = decode_chunk(lines, table, lineno)
-        error = None if c.error is None else (str(c.error), c.error.lineno)
-        _send(out, ("chunk", c.ts.tobytes(), c.op.tobytes(), c.host.tobytes(),
-                    c.src.tobytes(), c.dst.tobytes(), c.hosts, c.keys, c.rejected, error))
-        if error is not None:
-            return
-        lineno += len(lines)
-    _send(out, ("end",))
+def _decode_onto(out, lines: List[bytes], lineno: int) -> bool:
+    """Decode lines into one chunk message on `out`; True if a malformed
+    line ended the chunk."""
+    c = decode_chunk(lines, lineno)
+    error = None if c.error is None else (str(c.error), c.error.lineno)
+    _send(out, ("chunk", c.ts.tobytes(), c.op.tobytes(), c.host.tobytes(), c.src.tobytes(),
+                c.dst.tobytes(), c.hosts, c.keys, c.rejected, error))
+    return error is not None
 
 
-def _close_inherited(out, fh):
-    """Close every descriptor the decoder inherited but those of its pipe
-    `out` and its input `fh` (an in-memory input has none).  The input is
-    open first, so a path such as /dev/fd/N still names a live descriptor."""
-    keep = [out.fileno()]
+def _grow_pipe(fd: int):
+    """Ask for a pipe of _PIPE_BYTES, so that a decoder with work to do
+    seldom waits for its reader; a pipe keeps its size if that fails."""
     try:
-        keep.append(fh.fileno())
-    except (OSError, ValueError):  # io.UnsupportedOperation
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except OSError:
         pass
-    keep.sort()
-    for low, high in zip([-1] + keep, keep + [os.sysconf("SC_OPEN_MAX")]):
+
+
+def _close_inherited(*keep):
+    """Close every descriptor this process inherited but those of `keep`:
+    descriptors, and file objects that may have none (an in-memory input)."""
+    fds = []
+    for f in keep:
+        try:
+            fds.append(f if isinstance(f, int) else f.fileno())
+        except (OSError, ValueError):  # io.UnsupportedOperation
+            pass
+    fds.sort()
+    for low, high in zip([-1] + fds, fds + [os.sysconf("SC_OPEN_MAX")]):
         if low + 1 < high:  # closerange(0, 0) closes every descriptor on Python 3.11
             os.closerange(low + 1, high)
 
 
-def _worker(path: str, fd: int):
-    """Body of the forked decoder.  It never returns and never runs the
-    parent's exit handlers: it leaves through os._exit, so Ctrl-C or a
-    reader that went away (EPIPE) ends it without a traceback."""
-    code = 1
+def _split_to(path: str, out, to_b):
+    """Decoder A's work: read the input, decode the even batches onto
+    `out` and forward the odd ones to decoder B over `to_b`.  The message
+    that says how the input ended takes the next slot, on `out` or
+    through B.  The input is open before the other inherited descriptors
+    are closed, so a path such as /dev/fd/N still names a live one."""
+    slot, lineno = 0, 1
     try:
-        with open(fd, "wb") as out:
-            try:
-                _decode_to(path, out)
-                code = 0
-            except Exception:
-                import traceback
+        try:
+            fh = sys.stdin.buffer if path == "-" else open(path, "rb")
+        except OSError as exc:
+            _close_inherited(out, to_b)
+            batches: Iterable = [exc]
+        else:
+            _close_inherited(out, to_b, fh)
+            batches = _line_batches(fh)
+        for lines in batches:
+            if isinstance(lines, OSError):
+                last = ("oserror", lines.args, lines.filename)
+                break
+            if slot & 1:
+                _send(to_b, ("lines", lineno, lines))
+            elif _decode_onto(out, lines, lineno):
+                return
+            slot += 1
+            lineno += len(lines)
+        else:
+            last = ("end",)
+    except Exception:
+        import traceback
 
-                _send(out, ("crash", traceback.format_exc()))
+        last = ("crash", traceback.format_exc())
+    _send((out, to_b)[slot & 1], last)
+
+
+def _decode_from(src, out):
+    """Decoder B's work: decode the batches A forwards, and relay the
+    message that ends the input when it falls in B's slot."""
+    try:
+        while True:
+            msg = _receive(src)
+            if msg is None:  # A stopped at a malformed line, or died
+                return
+            if msg[0] != "lines":
+                _send(out, msg)
+                return
+            if _decode_onto(out, msg[2], msg[1]):
+                return
+    except Exception:
+        import traceback
+
+        _send(out, ("crash", traceback.format_exc()))
+
+
+def _reap(pid: int, kill: bool):
+    """Wait for decoder B, killing it first if `kill`.  SIGTERM stays
+    blocked from here on, so that its handler cannot reap B twice."""
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+
+
+def _decoder_a(path: str, out_fd: int, b_fd: int):
+    """Body of decoder A, forked with SIGTERM blocked.  It forks decoder
+    B, which writes to `b_fd`, and then does its own work onto `out_fd`.
+
+    Neither decoder ever returns or runs the parent's exit handlers: each
+    leaves through os._exit, so Ctrl-C or a reader that went away (EPIPE)
+    ends it without a traceback.  A reaps B before it leaves: at the end
+    of its work once B has sent its last message, and on an error, Ctrl-C
+    or SIGTERM (the reader's stop) at once, killing it."""
+    code, b = 1, 0
+    try:
+        r, w = os.pipe()
+        _grow_pipe(w)
+        b = os.fork()
+        if b == 0:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+            _close_inherited(r, b_fd)
+            try:
+                with open(b_fd, "wb") as out, open(r, "rb") as src:
+                    _decode_from(src, out)
+                    code = 0
+            finally:
+                os._exit(code)
+
+        def stop(signum, frame):
+            try:
+                _reap(b, True)
+            finally:
+                os._exit(1)
+
+        signal.signal(signal.SIGTERM, stop)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+        with open(out_fd, "wb") as out, open(w, "wb") as to_b:
+            _split_to(path, out, to_b)
+        code = 0
     finally:
-        os._exit(code)
+        try:
+            if b:
+                _reap(b, code != 0)
+        finally:
+            os._exit(code)
 
 
 def read_events(path: str, counters: Optional[Dict[str, int]] = None) -> Iterator[RawEvent]:
     """Yield RawEvents from a JSONL file ('-' for stdin).
 
-    A worker process forked on the first next() decodes the input (see
-    the module docstring).  Entities are interned per stream, as in
+    Two decoder processes, forked on the first next(), decode the input
+    (see the module docstring).  Entities are interned per stream, as in
     parse_event.  Lines with an unrecognized op are skipped and counted
     under 'rejected_ops'; a malformed line raises ParseError once every
-    event before it has been yielded.  However the generator ends, the
-    worker is killed if still running and reaped.
+    event before it has been yielded.  However the generator ends, both
+    decoders are stopped if still running and reaped.
     """
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        _worker(path, w)
+    (ra, wa), (rb, wb) = os.pipe(), os.pipe()
+    _grow_pipe(wa)
+    _grow_pipe(wb)
+    # The reader stops A with SIGTERM.  A unblocks it once its handler,
+    # which stops B, is in place.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
     try:
-        os.close(w)
-        ents: List[Entity] = []
-        with open(r, "rb") as pipe:
-            while True:
+        pid = os.fork()
+        if pid == 0:
+            _decoder_a(path, wa, wb)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    try:
+        os.close(wa)
+        os.close(wb)
+        table: Dict[tuple, Entity] = {}
+        with open(ra, "rb") as a, open(rb, "rb") as b:
+            for pipe in itertools.cycle((a, b)):
                 msg = _receive(pipe)
                 if msg is None:
-                    raise OSError("decoder process %d ended before its input did" % pid)
+                    raise OSError("a decoder process ended before its input did")
                 tag = msg[0]
                 if tag == "end":
                     return
@@ -507,11 +613,11 @@ def read_events(path: str, counters: Optional[Dict[str, int]] = None) -> Iterato
                     counters["rejected_ops"] = counters.get("rejected_ops", 0) + rejected
                 yield from _chunk_events(Chunk(array("q", ts), array("i", op), array("i", host),
                                                array("i", src), array("i", dst), hosts, keys,
-                                               rejected, None), ents)
+                                               rejected, None), table)
                 if error is not None:
                     raise ParseError(*error)
     finally:
-        os.kill(pid, signal.SIGKILL)
+        os.kill(pid, signal.SIGTERM)
         os.waitpid(pid, 0)
 
 
@@ -527,6 +633,11 @@ def window_stream(
     sealed only once events two windows ahead show up; events later than
     that are dropped and counted under 'dropped_late'.  Empty windows
     are skipped.
+
+    The first event opens window 0, so an event up to one window earlier
+    than the first is one window late: it lands in window -1, as long as
+    no event of window 1 or later has come.  An event earlier still is
+    always more than one window late, and is dropped.
     """
     if window_seconds <= 0:
         raise ValueError("window_seconds must be positive")

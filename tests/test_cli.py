@@ -134,6 +134,16 @@ def test_run_benign_stays_quiet(data_dir, model_dir, tmp_path, capsys):
     assert glob.glob(str(tmp_path / "out" / "alert-*.json")) == []
 
 
+def test_run_summary_reports_cpu_time(data_dir, model_dir, tmp_path, capsys):
+    rc = main(["run", "--input", str(data_dir / "quiet" / "events.jsonl"),
+               "--model-dir", str(model_dir), "--out", str(tmp_path / "out"),
+               "--store-dir", str(tmp_path / "store")])
+    assert rc == 0
+    doc = read_stdout_json(capsys)
+    # this process's CPU time, and the decoders' once they are reaped
+    assert doc["cpu_s"] >= 0 and doc["decoder_cpu_s"] >= 0
+
+
 def test_run_summary_reports_late_and_illegal_events(data_dir, model_dir, tmp_path, capsys):
     with open(data_dir / "quiet" / "events.jsonl", encoding="utf-8") as fh:
         lines = fh.read().splitlines()

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import signal
 
 import pytest
 from hypothesis import example, given, settings
@@ -116,10 +119,15 @@ def test_all_events_accounted_for():
     assert emitted + counters.get("dropped_late", 0) == len(ts_list)
 
 
-# Timestamps on and next to the edges of 10 s windows, repeated, in any
-# order: some come before the first event and some are late.
-_edge_ts = st.sampled_from([0, 1, 9_999, 10_000, 19_999, 20_000, 39_999, 40_000, 40_001])
-_stream_ts = st.lists(st.one_of(_edge_ts, st.integers(0, 160_000)), min_size=1, max_size=60)
+# A first event, then timestamps on and next to the edges of 10 s windows
+# counted from it, repeated, in any order: some up to one window before the
+# first (window -1), some earlier still, and some late.
+_edge_offsets = st.sampled_from([-20_001, -20_000, -10_001, -10_000, -9_999, -1, 0, 1, 9_999,
+                                 10_000, 19_999, 20_000, 40_000])
+_stream_ts = st.tuples(
+    st.integers(20_001, 60_000),
+    st.lists(st.one_of(_edge_offsets, st.integers(-40_000, 100_000)), max_size=59),
+).map(lambda t: [t[0]] + [max(0, t[0] + off) for off in t[1]])
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,10 +144,19 @@ def test_window_stream_accounts_for_every_event(ts_list):
     assert len(windowed) + counters.get("dropped_late", 0) == len(events)
     indexes = [b.window_index for b in batches]
     assert all(a < b for a, b in zip(indexes, indexes[1:]))
-    start = ts_list[0]
-    for b in batches:
-        for e in b.events:
-            assert (e.ts - start) // 10_000 in (b.window_index, b.window_index - 1)
+    # An event lands in its own window unless it is more than one window
+    # behind the newest so far.  The first event opens window 0, so window
+    # -1 takes events up to one window before it while window 0 is the
+    # newest, and any event earlier than that is dropped.
+    start, newest, fate = ts_list[0], 0, {}
+    for e in events:
+        idx = (e.ts - start) // 10_000
+        fate[id(e)] = idx if idx >= newest - 1 else None
+        newest = max(newest, idx)
+        if e.ts < start - 10_000:
+            assert fate[id(e)] is None
+    assert {i: b.window_index for b in batches for i in map(id, b.events)} == \
+        {i: w for i, w in fate.items() if w is not None}
 
 
 def test_batches_sorted_by_ts_within_window():
@@ -343,36 +360,26 @@ def test_parse_error_past_a_chunk_boundary_follows_every_earlier_event(tmp_path,
     assert (str(err), err.lineno) == (str(want.value), bad_lineno)
 
 
-def _identity_pattern(events):
-    """For each event, the index of the first event holding the same
-    src and dst attrs objects."""
-    first = {}
-    return [(first.setdefault(id(e.src), i), first.setdefault(id(e.dst), i))
-            for i, e in enumerate(events)]
-
-
-def test_intern_bound_clears_both_tables_in_step(tmp_path, monkeypatch):
+def test_reader_intern_table_stays_bounded(tmp_path, monkeypatch):
     from provstp import ingest
 
     monkeypatch.setattr(ingest, "INTERN_LIMIT", 4)
     lines = [_line(i, pid=i % 7, path="/tmp/f%d" % (i % 11), host="h%d" % (i % 3))
              for i in range(300)]
     want = _parse_lines(lines)
-    table, ents, got = {}, [], []
+    table, got = {}, []
     for start in range(0, len(lines), 64):
         chunk = ingest.decode_chunk([(s + "\n").encode() for s in lines[start:start + 64]],
-                                    table, start + 1)
-        assert chunk.error is None and len(table) <= 4
-        for ev in ingest._chunk_events(chunk, ents):
-            assert len(ents) <= 4
+                                    start + 1)
+        assert chunk.error is None
+        for ev in ingest._chunk_events(chunk, table):
+            assert len(table) <= 4
             got.append(ev)
     assert got == want
-    assert _identity_pattern(got) == _identity_pattern(want)
     p = tmp_path / "ev.jsonl"
     p.write_text("\n".join(lines) + "\n")
-    forked = list(read_events(str(p)))
-    assert forked == want
-    assert _identity_pattern(forked) == _identity_pattern(want)
+    monkeypatch.setattr(ingest, "CHUNK_LINES", 16)
+    assert list(read_events(str(p))) == want
 
 
 def test_line_endings_and_numbers_follow_text_mode(tmp_path):
@@ -413,27 +420,41 @@ def test_closing_read_events_early_reaps_the_worker(tmp_path, child_pids):
     assert child_pids() == before
 
 
-def test_worker_keeps_only_its_pipe_and_input(tmp_path, child_pids):
-    import os
+def _decoders(child_pids, before):
+    """The pids of decoders A and B of the one read_events running."""
+    (a,) = child_pids() - before
+    (b,) = child_pids(a)
+    return a, b
 
+
+def _fd_targets(pid):
+    fd_dir = "/proc/%d/fd" % pid
+    return sorted(os.readlink(os.path.join(fd_dir, fd)) for fd in os.listdir(fd_dir))
+
+
+def test_worker_keeps_only_its_pipe_and_input(tmp_path, child_pids):
     stream = _big_stream(tmp_path)
-    r, w = os.pipe()  # a descriptor the caller holds, which the worker must not
+    r, w = os.pipe()  # a descriptor the caller holds, which the decoders must not
     callers_pipe = os.readlink("/proc/self/fd/%d" % r)
     before = child_pids()
     gen = read_events(stream)
     try:
         assert next(gen).ts == 0
-        (pid,) = child_pids() - before
-        fd_dir = "/proc/%d/fd" % pid
-        targets = sorted(os.readlink(os.path.join(fd_dir, fd)) for fd in os.listdir(fd_dir))
+        a, b = _decoders(child_pids, before)
+        a_fds, b_fds = _fd_targets(a), _fd_targets(b)
     finally:
         gen.close()
         os.close(r)
         os.close(w)
-    # the input file and the write end of its own pipe, nothing else
-    assert len(targets) == 2, targets
-    assert targets[0] == os.path.realpath(stream)
-    assert targets[1].startswith("pipe:") and targets[1] != callers_pipe
+    # A: the input file, the write end of its pipe to the reader and the
+    # write end of its pipe to B; B: the read end of that pipe and the
+    # write end of its own pipe to the reader.  Nothing else.
+    assert len(a_fds) == 3 and len(b_fds) == 2, (a_fds, b_fds)
+    assert a_fds[0] == os.path.realpath(stream)
+    pipes = a_fds[1:] + b_fds
+    assert all(t.startswith("pipe:") and t != callers_pipe for t in pipes)
+    assert len(set(a_fds[1:]) & set(b_fds)) == 1  # the one pipe from A to B
+    assert len(set(pipes)) == 3
 
 
 def test_input_path_can_name_an_inherited_descriptor(child_pids):
@@ -494,3 +515,176 @@ def test_stdin_lines_arrive_before_eof_and_close_kills_a_waiting_worker(monkeypa
         os.close(w)
         stdin.close()
     assert child_pids() == before
+
+
+
+def _read_outcome(path, chunk_lines):
+    """What read_events does on path with CHUNK_LINES = chunk_lines: the
+    events it yields, its rejected-op count and the exception it raises."""
+    from provstp import ingest
+
+    counters, got = {}, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "CHUNK_LINES", chunk_lines)
+        try:
+            for ev in read_events(path, counters):
+                got.append(ev)
+        except Exception as exc:
+            return got, counters.get("rejected_ops", 0), exc
+    return got, counters.get("rejected_ops", 0), None
+
+
+def _identity_pattern(events):
+    """For each event, the index of the first event holding the same
+    src and dst attrs objects."""
+    first = {}
+    return [(first.setdefault(id(e.src), i), first.setdefault(id(e.dst), i))
+            for i, e in enumerate(events)]
+
+
+def _parse_outcome(lines):
+    """The same for parse_event over lines with one shared table."""
+    table, got, rejected = {}, [], 0
+    for n, line in enumerate(lines, start=1):
+        try:
+            got.append(parse_event(line, n, table))
+        except RejectedEvent:
+            rejected += 1
+        except ParseError as exc:
+            return got, rejected, exc
+    return got, rejected, None
+
+
+_BAD_LINES = [_malformed_line(*args) for args in _MALFORMED.args[1]] + [
+    "{bad",
+    "[1, 2]",
+    _line(0, path=""),
+    json.dumps({"ts": 0, "host": "h1", "op": "sendto", "src": _ENTITIES[0],
+                "dst": dict(_ENTITIES[5], dst_port=70000)}),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_stream_lines, chunk_lines=st.integers(1, 4),
+       bad=st.none() | st.tuples(st.integers(0, 60), st.sampled_from(_BAD_LINES)))
+@example(rows=[(i, "write", "h1", 0, 3) for i in range(8)], chunk_lines=2, bad=(4, "{bad"))
+@example(rows=[(i, "write", "h1", 0, 3) for i in range(8)], chunk_lines=2, bad=(6, "{bad"))
+def test_read_events_matches_in_process_parsing(tmp_path_factory, rows, chunk_lines, bad):
+    # With chunks of a few lines, chunks alternate between the two
+    # decoders many times; the bad line lands in a chunk of either one.
+    lines = _jsonl(rows).splitlines()
+    if bad is not None:
+        lines.insert(min(bad[0], len(lines)), bad[1])
+    p = tmp_path_factory.mktemp("pair") / "ev.jsonl"
+    p.write_text("".join(line + "\n" for line in lines))
+    got, rejected, exc = _read_outcome(str(p), chunk_lines)
+    want, want_rejected, want_exc = _parse_outcome(lines)
+    assert got == want
+    assert _identity_pattern(got) == _identity_pattern(want)  # one entity, one object
+    assert rejected == want_rejected
+    if want_exc is None:
+        assert exc is None
+    else:
+        assert type(exc) is ParseError
+        assert (str(exc), exc.lineno) == (str(want_exc), want_exc.lineno)
+
+
+@settings(max_examples=40, deadline=None)
+@given(at=st.integers(0, 5), chunk_lines=st.integers(1, 3),
+       fault=st.sampled_from(["oserror", "read-crash", "decode-crash"]))
+def test_decoder_faults_arrive_in_stream_order(tmp_path_factory, at, chunk_lines, fault):
+    # Fault at batch `at`: a read error or a crash while reading (in A), or
+    # a crash while decoding (in A or B, by the batch's parity).
+    from provstp import ingest
+
+    lines = [_line(i, pid=i % 3) for i in range(12)]
+    at %= -(-len(lines) // chunk_lines)  # a batch there is
+    p = tmp_path_factory.mktemp("fault") / "ev.jsonl"
+    p.write_text("".join(line + "\n" for line in lines))
+    line_batches, decode_chunk = ingest._line_batches, ingest.decode_chunk
+
+    def faulty_batches(fh):
+        for i, batch in enumerate(line_batches(fh)):
+            if i == at and fault == "oserror":
+                yield OSError(5, "Input/output error")
+                return
+            if i == at and fault == "read-crash":
+                raise RuntimeError("reading batch %d failed" % i)
+            yield batch
+
+    def faulty_decode(batch, lineno=1):
+        if lineno == at * chunk_lines + 1:
+            raise RuntimeError("decoding line %d failed" % lineno)
+        return decode_chunk(batch, lineno)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_line_batches", faulty_batches)
+        mp.setattr(ingest, "decode_chunk", faulty_decode)
+        got, _, exc = _read_outcome(str(p), chunk_lines)
+    assert got == _parse_lines(lines[:at * chunk_lines])
+    if fault == "oserror":
+        assert type(exc) is OSError and exc.errno == 5
+    else:
+        assert type(exc) is RuntimeError and str(exc).startswith("decoder process failed:")
+        assert ("reading batch %d" % at if fault == "read-crash"
+                else "decoding line %d" % (at * chunk_lines + 1)) in str(exc)
+
+
+@pytest.mark.parametrize("how", ["close", "consumer-raises", "parse-error-a",
+                                 "parse-error-b"])
+def test_both_decoders_are_reaped(tmp_path, child_pids, how):
+    from provstp import ingest
+
+    lines = [_line(i, pid=i % 13) for i in range(3 * 8192)]
+    if how.startswith("parse-error"):
+        # in the third chunk (A's) or the fourth (B's)
+        lines[(2 if how.endswith("a") else 3) * ingest.CHUNK_LINES + 5] = "{bad"
+    p = tmp_path / "ev.jsonl"
+    p.write_text("".join(line + "\n" for line in lines))
+    before = child_pids()
+    gen = read_events(str(p))
+    assert next(gen).ts == 0
+    a, b = _decoders(child_pids, before)
+    with _deadline(20):
+        if how == "close":
+            gen.close()
+        else:
+            with pytest.raises((RuntimeError, ParseError)):
+                for ev in gen:
+                    if how == "consumer-raises" and ev.ts == 5000:
+                        raise RuntimeError("stop")
+            gen.close()
+    assert child_pids() == before
+    assert not os.path.exists("/proc/%d" % b)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError if the block takes longer than seconds."""
+    def timeout(signum, frame):
+        raise TimeoutError("still running after %d s" % seconds)
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_decoding_does_not_need_larger_pipes(tmp_path, monkeypatch):
+    import fcntl
+
+    calls = []
+
+    def refuse(fd, cmd, arg=0):
+        calls.append(cmd)
+        raise OSError(1, "Operation not permitted")
+
+    monkeypatch.setattr(fcntl, "fcntl", refuse)
+    lines = [_line(i, pid=i % 13, path="/tmp/f%d" % (i % 17)) for i in range(3 * 8192)]
+    p = tmp_path / "ev.jsonl"
+    p.write_text("".join(line + "\n" for line in lines))
+    assert list(read_events(str(p))) == _parse_lines(lines)
+    assert calls and set(calls) == {fcntl.F_SETPIPE_SZ}
