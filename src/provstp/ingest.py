@@ -5,18 +5,19 @@ decoding, most of the cost of ingest, runs beside the caller, which
 builds and scores windows.  On a 2-core machine the three share the two
 cores.
 
-Decoder A, forked by the reader, is the only process that reads the
-input (stdin only ever there).  It reads it as bytes, splits it into
-lines as text mode would, and cuts the lines into batches of CHUNK_LINES
-(fewer when a read finds the input caught up).  It decodes the even
-batches itself and forwards the odd ones, with their first line number,
-to decoder B, which it forks and reaps.  Both hand batches to
-`decode_chunk`, which validates, interns and rejects exactly as
-`parse_event` does.  Neither builds an attrs object, a RawEvent or a
-numpy array, and each closes every inherited descriptor but its own
-pipes (and, in A, the input's).  The reader takes chunk i from decoder
-i mod 2.  Each decoder's pipe is grown to 1 MB where the kernel allows,
-so that a decoder with work to do seldom waits for the reader.
+The reader forks both decoders, so it alone kills and reaps them.
+Decoder A is the only process that reads the input (stdin only ever
+there).  It reads it as bytes, splits it into lines as text mode would,
+and cuts the lines into batches of CHUNK_LINES (fewer when a read finds
+the input caught up).  It decodes the even batches itself and forwards
+the odd ones, with their first line number, to decoder B over a pipe
+between the two.  Both hand batches to `decode_chunk`, which validates,
+interns and rejects exactly as `parse_event` does.  Neither builds an
+attrs object, a RawEvent or a numpy array, and each closes every
+inherited descriptor but its own pipes (and, in A, the input's).  The
+reader takes chunk i from decoder i mod 2.  Each pipe is grown to 1 MB
+where the kernel allows, so that a decoder with work to do seldom waits
+for its reader.
 
 Wire format: one message per chunk over an `os.pipe`, an 8-byte length
 and a `marshal`led tuple.  A chunk holds integer columns, `ts` (int64)
@@ -33,12 +34,7 @@ by INTERN_LIMIT, and builds an attrs object and NodeId once per entity,
 so it yields the same RawEvents that in-process parsing gives.  Pickling
 those objects, or WindowBatches, would cost more than parsing them; the
 columns cost the reader about half a microsecond per event, and mapping
-the keys 6 ms a pass (about 90 keys a chunk, 1 650 distinct ones).  The
-two decoders spend a little more CPU time than one did, and the pass
-ends sooner: on 80 000 events (2 cores, Python 3.11), `provstp run`
-spent 0.50-0.52 s of CPU in the reader, which includes detection, and
-0.80-0.90 s in the decoders (about 0.45 s in A and 0.38 s in B),
-against 0.56-0.80 s in the one decoder before.
+the keys 6 ms a pass (about 90 keys a chunk, 1 650 distinct ones).
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ import signal
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .model import ALL_OPS, FILE, IP, PROCESS, FileAttrs, IpAttrs, ProcessAttrs, entity_uuid
 
@@ -421,10 +417,12 @@ def _send(out, msg: tuple):
 
 
 def _receive(pipe) -> Optional[tuple]:
-    """The next message, or None at end of file."""
+    """The next message, or None at end of file or where the input ends
+    inside a message, as when its writer died while sending it."""
     head = pipe.read(8)
-    body = pipe.read(int.from_bytes(head, "little")) if len(head) == 8 else b""
-    return marshal.loads(body) if body else None
+    size = int.from_bytes(head, "little")
+    body = pipe.read(size) if len(head) == 8 else b""
+    return marshal.loads(body) if body and len(body) == size else None
 
 
 def _decode_onto(out, lines: List[bytes], lineno: int) -> bool:
@@ -515,57 +513,31 @@ def _decode_from(src, out):
         _send(out, ("crash", traceback.format_exc()))
 
 
-def _reap(pid: int, kill: bool):
-    """Wait for decoder B, killing it first if `kill`.  SIGTERM stays
-    blocked from here on, so that its handler cannot reap B twice."""
-    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-    if kill:
-        os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
-
-
-def _decoder_a(path: str, out_fd: int, b_fd: int):
-    """Body of decoder A, forked with SIGTERM blocked.  It forks decoder
-    B, which writes to `b_fd`, and then does its own work onto `out_fd`.
-
-    Neither decoder ever returns or runs the parent's exit handlers: each
-    leaves through os._exit, so Ctrl-C or a reader that went away (EPIPE)
-    ends it without a traceback.  A reaps B before it leaves: at the end
-    of its work once B has sent its last message, and on an error, Ctrl-C
-    or SIGTERM (the reader's stop) at once, killing it."""
-    code, b = 1, 0
-    try:
-        r, w = os.pipe()
-        _grow_pipe(w)
-        b = os.fork()
-        if b == 0:
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
-            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-            _close_inherited(r, b_fd)
-            try:
-                with open(b_fd, "wb") as out, open(r, "rb") as src:
-                    _decode_from(src, out)
-                    code = 0
-            finally:
-                os._exit(code)
-
-        def stop(signum, frame):
-            try:
-                _reap(b, True)
-            finally:
-                os._exit(1)
-
-        signal.signal(signal.SIGTERM, stop)
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-        with open(out_fd, "wb") as out, open(w, "wb") as to_b:
-            _split_to(path, out, to_b)
-        code = 0
-    finally:
+def _decoder(body: Callable[..., None], *args) -> int:
+    """Fork a decoder process that runs body(*args); returns its pid.  The
+    decoder never returns or runs the parent's exit handlers: it leaves
+    through os._exit, so Ctrl-C or a reader that went away (EPIPE) ends it
+    without a traceback."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
         try:
-            if b:
-                _reap(b, code != 0)
+            body(*args)
+            code = 0
         finally:
             os._exit(code)
+    return pid
+
+
+def _decoder_a(path: str, out_fd: int, to_b_fd: int):
+    with open(out_fd, "wb") as out, open(to_b_fd, "wb") as to_b:
+        _split_to(path, out, to_b)
+
+
+def _decoder_b(src_fd: int, out_fd: int):
+    _close_inherited(src_fd, out_fd)
+    with open(out_fd, "wb") as out, open(src_fd, "rb") as src:
+        _decode_from(src, out)
 
 
 def read_events(path: str, counters: Optional[Dict[str, int]] = None) -> Iterator[RawEvent]:
@@ -575,26 +547,25 @@ def read_events(path: str, counters: Optional[Dict[str, int]] = None) -> Iterato
     (see the module docstring).  Entities are interned per stream, as in
     parse_event.  Lines with an unrecognized op are skipped and counted
     under 'rejected_ops'; a malformed line raises ParseError once every
-    event before it has been yielded.  However the generator ends, both
-    decoders are stopped if still running and reaped.
+    event before it has been yielded.  However the generator ends, and
+    also when making a pipe or forking fails, every pipe descriptor it
+    made is closed and every decoder it forked is killed and reaped.
     """
-    (ra, wa), (rb, wb) = os.pipe(), os.pipe()
-    _grow_pipe(wa)
-    _grow_pipe(wb)
-    # The reader stops A with SIGTERM.  A unblocks it once its handler,
-    # which stops B, is in place.
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    ends: List[int] = []  # pipe descriptors this process holds
+    pids: List[int] = []
     try:
-        pid = os.fork()
-        if pid == 0:
-            _decoder_a(path, wa, wb)
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    try:
-        os.close(wa)
-        os.close(wb)
+        for _ in range(3):
+            ends += os.pipe()
+        ra, wa, rb, wb, r_ab, w_ab = ends  # A to the reader, B to the reader, A to B
+        for fd in (wa, wb, w_ab):
+            _grow_pipe(fd)
+        pids.append(_decoder(_decoder_b, r_ab, wb))
+        pids.append(_decoder(_decoder_a, path, wa, w_ab))
+        for fd in (wa, wb, r_ab, w_ab):
+            ends.remove(fd)
+            os.close(fd)
         table: Dict[tuple, Entity] = {}
-        with open(ra, "rb") as a, open(rb, "rb") as b:
+        with open(ra, "rb", closefd=False) as a, open(rb, "rb", closefd=False) as b:
             for pipe in itertools.cycle((a, b)):
                 msg = _receive(pipe)
                 if msg is None:
@@ -617,8 +588,12 @@ def read_events(path: str, counters: Optional[Dict[str, int]] = None) -> Iterato
                 if error is not None:
                     raise ParseError(*error)
     finally:
-        os.kill(pid, signal.SIGTERM)
-        os.waitpid(pid, 0)
+        for fd in ends:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def window_stream(

@@ -353,12 +353,13 @@ def test_criterion_09_throughput_and_stp_ablation(work_root, model_dir, capsys):
     n = write_chain_stream(str(stream), windows=17, procs=2000, private_files=1)
     assert n >= 100_000
     seconds = {}
-    for algo in ("isg", "kou", "mehlhorn"):
-        rc = main(["bench", "--input", str(stream), "--stp", algo,
-                   "--cache-capacity", "1000000", "--repeat", "3"])
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        seconds[algo] = doc["seconds"]
+    for _ in range(3):  # interleaved, so that a slow spell of the host hits every algorithm
+        for algo in ("isg", "kou", "mehlhorn"):
+            rc = main(["bench", "--input", str(stream), "--stp", algo,
+                       "--cache-capacity", "1000000", "--repeat", "1"])
+            assert rc == 0
+            doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            seconds[algo] = min(seconds.get(algo, doc["seconds"]), doc["seconds"])
     kou_ratio = seconds["kou"] / seconds["isg"]
     mehl_ratio = seconds["mehlhorn"] / seconds["isg"]
     ablation = kou_ratio >= 3.0 and mehl_ratio >= 1.5

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import contextlib
+import errno
+import io
+import itertools
 import json
 import os
 import signal
@@ -405,25 +408,18 @@ def test_line_endings_and_numbers_follow_text_mode(tmp_path):
     assert (str(err), err.lineno) == (str(want.value), 8)
 
 
-def _big_stream(tmp_path, n=3 * 8192):
-    p = tmp_path / "ev.jsonl"
-    p.write_text("".join(_line(i, pid=i % 13) + "\n" for i in range(n)))
-    return str(p)
-
-
-def test_closing_read_events_early_reaps_the_worker(tmp_path, child_pids):
-    before = child_pids()
-    gen = read_events(_big_stream(tmp_path))
-    assert next(gen).ts == 0
-    assert len(child_pids() - before) == 1
-    gen.close()
-    assert child_pids() == before
-
-
 def _decoders(child_pids, before):
-    """The pids of decoders A and B of the one read_events running."""
-    (a,) = child_pids() - before
-    (b,) = child_pids(a)
+    """The pids of the decoders of the one read_events running: two
+    children of this process, which have none of their own."""
+    pids = child_pids() - before
+    assert len(pids) == 2 and not any(child_pids(pid) for pid in pids)
+    return pids
+
+
+def _a_and_b(pids, stream):
+    """Decoders A and B: A is the one that holds the input."""
+    (a,) = [pid for pid in pids if os.path.realpath(stream) in _fd_targets(pid)]
+    (b,) = pids - {a}
     return a, b
 
 
@@ -432,20 +428,36 @@ def _fd_targets(pid):
     return sorted(os.readlink(os.path.join(fd_dir, fd)) for fd in os.listdir(fd_dir))
 
 
-def test_worker_keeps_only_its_pipe_and_input(tmp_path, child_pids):
-    stream = _big_stream(tmp_path)
+def _fifo_input(tmp_path, monkeypatch, n):
+    """A FIFO holding events 0..n-1 that stays open for writing, and its
+    writer, with CHUNK_LINES = 16.  Once the reader has taken the events
+    of every whole batch, both decoders wait: A for input and B for A."""
+    from provstp import ingest
+
+    monkeypatch.setattr(ingest, "CHUNK_LINES", 16)
+    stream = str(tmp_path / "ev.fifo")
+    os.mkfifo(stream)
+    writer = os.open(stream, os.O_RDWR)  # does not wait for a reader
+    os.write(writer, "".join(_line(i) + "\n" for i in range(n)).encode())
+    return stream, writer
+
+
+def test_worker_keeps_only_its_pipe_and_input(tmp_path, monkeypatch, child_pids):
+    stream, writer = _fifo_input(tmp_path, monkeypatch, 33)
     r, w = os.pipe()  # a descriptor the caller holds, which the decoders must not
     callers_pipe = os.readlink("/proc/self/fd/%d" % r)
     before = child_pids()
     gen = read_events(stream)
-    try:
-        assert next(gen).ts == 0
-        a, b = _decoders(child_pids, before)
-        a_fds, b_fds = _fd_targets(a), _fd_targets(b)
-    finally:
-        gen.close()
-        os.close(r)
-        os.close(w)
+    with _deadline(20):
+        try:
+            # B's first event: both decoders have sent a chunk, so both are set up
+            assert [ev.ts for ev in itertools.islice(gen, 17)][-1] == 16
+            a, b = _a_and_b(_decoders(child_pids, before), stream)
+            a_fds, b_fds = _fd_targets(a), _fd_targets(b)
+        finally:
+            gen.close()
+            for fd in (writer, r, w):
+                os.close(fd)
     # A: the input file, the write end of its pipe to the reader and the
     # write end of its pipe to B; B: the read end of that pipe and the
     # write end of its own pipe to the reader.  Nothing else.
@@ -455,6 +467,27 @@ def test_worker_keeps_only_its_pipe_and_input(tmp_path, child_pids):
     assert all(t.startswith("pipe:") and t != callers_pipe for t in pipes)
     assert len(set(a_fds[1:]) & set(b_fds)) == 1  # the one pipe from A to B
     assert len(set(pipes)) == 3
+
+
+@pytest.mark.parametrize("taken,victim", [(16, "a"), (16, "b"), (32, "a")])
+def test_a_killed_decoder_ends_the_stream_with_oserror(tmp_path, monkeypatch, child_pids,
+                                                     taken, victim):
+    # Once `taken` events are read, the next slot is B's (16) or A's (32).
+    # Killed, A ends the stream through its own pipe or through B, which
+    # then reads the end of A's pipe to it; B ends it through its own.
+    stream, writer = _fifo_input(tmp_path, monkeypatch, taken)
+    before = child_pids()
+    gen = read_events(stream)
+    with _deadline(20):
+        try:
+            assert [ev.ts for ev in itertools.islice(gen, taken)][-1] == taken - 1
+            a, b = _a_and_b(_decoders(child_pids, before), stream)
+            os.kill(a if victim == "a" else b, signal.SIGKILL)
+            with pytest.raises(OSError, match="ended before its input did"):
+                next(gen)
+        finally:
+            gen.close()
+            os.close(writer)
 
 
 def test_input_path_can_name_an_inherited_descriptor(child_pids):
@@ -469,22 +502,6 @@ def test_input_path_can_name_an_inherited_descriptor(child_pids):
         assert [ev.ts for ev in read_events("/dev/fd/%d" % r)] == [0, 1]
     finally:
         os.close(r)
-    assert child_pids() == before
-
-
-@pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
-def test_exception_in_the_consumer_reaps_the_worker(tmp_path, child_pids, exc_type):
-    before = child_pids()
-    stream = _big_stream(tmp_path)
-
-    def consume():
-        for ev in read_events(stream):
-            if ev.ts == 100:
-                assert len(child_pids() - before) == 1
-                raise exc_type("stop")
-
-    with pytest.raises(exc_type):
-        consume()
     assert child_pids() == before
 
 
@@ -630,8 +647,8 @@ def test_decoder_faults_arrive_in_stream_order(tmp_path_factory, at, chunk_lines
                 else "decoding line %d" % (at * chunk_lines + 1)) in str(exc)
 
 
-@pytest.mark.parametrize("how", ["close", "consumer-raises", "parse-error-a",
-                                 "parse-error-b"])
+@pytest.mark.parametrize("how", ["close", "consumer-raises", "keyboard-interrupt",
+                                 "parse-error-a", "parse-error-b"])
 def test_both_decoders_are_reaped(tmp_path, child_pids, how):
     from provstp import ingest
 
@@ -644,18 +661,66 @@ def test_both_decoders_are_reaped(tmp_path, child_pids, how):
     before = child_pids()
     gen = read_events(str(p))
     assert next(gen).ts == 0
-    a, b = _decoders(child_pids, before)
+    pids = _decoders(child_pids, before)
+    stop = {"consumer-raises": RuntimeError, "keyboard-interrupt": KeyboardInterrupt}.get(how)
     with _deadline(20):
         if how == "close":
             gen.close()
         else:
-            with pytest.raises((RuntimeError, ParseError)):
+            with pytest.raises((RuntimeError, KeyboardInterrupt, ParseError)):
                 for ev in gen:
-                    if how == "consumer-raises" and ev.ts == 5000:
-                        raise RuntimeError("stop")
-            gen.close()
+                    if stop and ev.ts == 5000:
+                        raise stop("stop")
+            del gen  # dropped without close(), as by a consumer that raised
     assert child_pids() == before
-    assert not os.path.exists("/proc/%d" % b)
+    assert not any(os.path.exists("/proc/%d" % pid) for pid in pids)
+
+
+@pytest.mark.parametrize("call,fails", [("pipe", 2), ("pipe", 3), ("fork", 1), ("fork", 2)])
+def test_a_failed_pipe_or_fork_leaves_nothing_behind(monkeypatch, child_pids, call, fails):
+    # No process starts: a fork that succeeds returns a pid no process can
+    # have, and read_events must then kill and reap it.
+    fake_pid = 1 << 30
+    counts = {"pipe": 0, "fork": 0}
+    killed, reaped = [], []
+
+    def faulty(name, real):
+        def attempt():
+            counts[name] += 1
+            if name == call and counts[name] == fails:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real()
+        return attempt
+
+    def waitpid(pid, options):
+        reaped.append(pid)
+        return pid, 0
+
+    fds = sorted(os.listdir("/proc/self/fd"))
+    before = child_pids()
+    monkeypatch.setattr(os, "pipe", faulty("pipe", os.pipe))
+    monkeypatch.setattr(os, "fork", faulty("fork", lambda: fake_pid))
+    monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append((pid, sig)))
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    with pytest.raises(OSError) as err:
+        next(read_events("events.jsonl"))
+    monkeypatch.undo()
+    assert err.value.errno == errno.EAGAIN
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    assert child_pids() == before
+    forked = counts["fork"] - (call == "fork")
+    assert killed == [(fake_pid, signal.SIGKILL)] * forked and reaped == [fake_pid] * forked
+
+
+def test_a_cut_off_message_reads_as_a_dead_decoder():
+    from provstp import ingest
+
+    out = io.BytesIO()
+    ingest._send(out, ("end",))
+    whole = out.getvalue()
+    assert ingest._receive(io.BytesIO(whole)) == ("end",)
+    assert ingest._receive(io.BytesIO(whole[:-1])) is None  # header and a cut-off body
+    assert ingest._receive(io.BytesIO(whole[:5])) is None  # a cut-off header
 
 
 @contextlib.contextmanager
