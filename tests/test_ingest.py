@@ -408,6 +408,21 @@ def test_line_endings_and_numbers_follow_text_mode(tmp_path):
     assert (str(err), err.lineno) == (str(want.value), 8)
 
 
+def _big_stream(tmp_path, n=3 * 8192):
+    p = tmp_path / "ev.jsonl"
+    p.write_text("".join(_line(i, pid=i % 13) + "\n" for i in range(n)))
+    return str(p)
+
+
+def test_closing_read_events_early_reaps_the_worker(tmp_path, child_pids):
+    before = child_pids()
+    gen = read_events(_big_stream(tmp_path))
+    assert next(gen).ts == 0
+    _decoders(child_pids, before)
+    gen.close()
+    assert child_pids() == before
+
+
 def _decoders(child_pids, before):
     """The pids of the decoders of the one read_events running: two
     children of this process, which have none of their own."""
@@ -502,6 +517,22 @@ def test_input_path_can_name_an_inherited_descriptor(child_pids):
         assert [ev.ts for ev in read_events("/dev/fd/%d" % r)] == [0, 1]
     finally:
         os.close(r)
+    assert child_pids() == before
+
+
+@pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
+def test_exception_in_the_consumer_reaps_the_worker(tmp_path, child_pids, exc_type):
+    before = child_pids()
+    stream = _big_stream(tmp_path)
+
+    def consume():
+        for ev in read_events(stream):
+            if ev.ts == 100:
+                _decoders(child_pids, before)
+                raise exc_type("stop")
+
+    with pytest.raises(exc_type):
+        consume()
     assert child_pids() == before
 
 
@@ -647,8 +678,8 @@ def test_decoder_faults_arrive_in_stream_order(tmp_path_factory, at, chunk_lines
                 else "decoding line %d" % (at * chunk_lines + 1)) in str(exc)
 
 
-@pytest.mark.parametrize("how", ["close", "consumer-raises", "keyboard-interrupt",
-                                 "parse-error-a", "parse-error-b"])
+@pytest.mark.parametrize("how", ["close", "consumer-raises", "parse-error-a",
+                                 "parse-error-b"])
 def test_both_decoders_are_reaped(tmp_path, child_pids, how):
     from provstp import ingest
 
@@ -662,15 +693,14 @@ def test_both_decoders_are_reaped(tmp_path, child_pids, how):
     gen = read_events(str(p))
     assert next(gen).ts == 0
     pids = _decoders(child_pids, before)
-    stop = {"consumer-raises": RuntimeError, "keyboard-interrupt": KeyboardInterrupt}.get(how)
     with _deadline(20):
         if how == "close":
             gen.close()
         else:
-            with pytest.raises((RuntimeError, KeyboardInterrupt, ParseError)):
+            with pytest.raises((RuntimeError, ParseError)):
                 for ev in gen:
-                    if stop and ev.ts == 5000:
-                        raise stop("stop")
+                    if how == "consumer-raises" and ev.ts == 5000:
+                        raise RuntimeError("stop")
             del gen  # dropped without close(), as by a consumer that raised
     assert child_pids() == before
     assert not any(os.path.exists("/proc/%d" % pid) for pid in pids)
