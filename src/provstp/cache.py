@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .stp import Hopset, MemberRec, hopset_id, hopset_score, merge_hopsets
+from .stp import Hopset, MemberRec, hopset_id, merge_hopsets
 
 DEFAULT_CAPACITY = 10_000
 DEFAULT_EPSILON = 0.8
@@ -142,17 +142,14 @@ def insert_or_merge(c: CacheState, hs: List[Hopset], window_index: int) -> Cache
     """
     touched = set()
     for h in hs:
-        h.age = 0
-        h.last_window = window_index
         partners = sorted({hid for hid in map(c.node_index.get, h.members)
                            if hid in c.entries})
-        group = [h] + [_drop_entry(c, pid) for pid in partners]
+        # every partner shares a member with h, so the merge yields one hopset
+        merged = merge_hopsets([h] + [_drop_entry(c, pid) for pid in partners], c.theta)[0]
+        merged.age = 0
+        merged.last_window = window_index
         touched -= set(partners)
-        for merged in merge_hopsets(group, c.theta):
-            merged.age = 0
-            merged.last_window = window_index
-            merged.has = hopset_score(merged)
-            touched.add(_add_entry(c, merged))
+        touched.add(_add_entry(c, merged))
     for hid, h in c.entries.items():
         if hid not in touched:
             h.age += 1

@@ -90,8 +90,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     known = {f.name for f in fields(RunConfig)}
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        try:
+            with open(config_path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise SystemExit("cannot read configuration %s: %s" % (config_path, exc))
+        if not isinstance(doc, dict):
+            raise SystemExit("configuration %s is not a JSON object" % config_path)
         for key, value in doc.items():
             name = key.replace("-", "_")
             if name not in known:
@@ -162,10 +167,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         batches = _batches(args.input, cfg.window_seconds)
         bundle, info = train_bundle(batches, os.path.basename(args.input),
                                     vae_epochs=args.epochs)
+        bundle.save(cfg.model_dir)
     except (OSError, ParseError, ValueError) as exc:
         print("train failed: %s" % exc, file=sys.stderr)
         return 2
-    bundle.save(cfg.model_dir)
     info["model_dir"] = cfg.model_dir
     print(json.dumps(info, sort_keys=True))
     return 0

@@ -52,7 +52,7 @@ def ip_entity(src_ip: str, src_port: int, dst_ip: str, dst_port: int) -> dict:
 
 def entity_id(entity: dict, host: str) -> str:
     """NodeId of a generated entity, derived as the event parser derives it."""
-    return _entity(entity, host, 0, {})[2]
+    return _entity(entity, host, 0, {}).id
 
 
 @dataclass(slots=True)

@@ -21,20 +21,20 @@ for its reader.
 
 Wire format: one message per chunk over an `os.pipe`, an 8-byte length
 and a `marshal`led tuple.  A chunk holds integer columns, `ts` (int64)
-and op code, host index, src id and dst id (int32), plus the chunk's
-distinct hosts, the intern keys of every entity it names (in order of
-their chunk-local ids) and its rejected-op count.  A chunk that stops at
-a malformed line carries that line's ParseError, which the reader raises
-once it has yielded every event before it.  The message after the last
-chunk, in the next slot, says how the input ended: its end, an OSError,
-or a crash.
+and op code, src id and dst id (int32), plus the intern keys of every
+entity it names (in order of their chunk-local ids) and its rejected-op
+count.  A chunk that stops at a malformed line carries that line's
+ParseError, which the reader raises once it has yielded every event
+before it.  The message after the last chunk, in the next slot, says how
+the input ended: its end, an OSError, or a crash.
 
 The reader maps each chunk's keys through its own intern table, bounded
-by INTERN_LIMIT, and builds an attrs object and NodeId once per entity,
-so it yields the same RawEvents that in-process parsing gives.  Pickling
-those objects, or WindowBatches, would cost more than parsing them; the
-columns cost the reader about half a microsecond per event, and mapping
-the keys 6 ms a pass (about 90 keys a chunk, 1 650 distinct ones).
+by INTERN_LIMIT, and builds each entity's Entity (kind, attrs object and
+NodeId) once.  It yields events that hold the interned Entities, the
+same RawEvents that in-process parsing gives.  Pickling those objects,
+or WindowBatches, would cost more than parsing them; the columns cost
+the reader about half a microsecond per event, and mapping the keys 6 ms
+a pass (about 90 keys a chunk, 1 650 distinct ones).
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .model import ALL_OPS, FILE, IP, PROCESS, FileAttrs, IpAttrs, ProcessAttrs, entity_uuid
+from .model import (ALL_OPS, FILE, IP, PROCESS, Entity, FileAttrs, IpAttrs, ProcessAttrs,
+                    entity_uuid)
 
 DEFAULT_WINDOW_SECONDS = 10.0
 
@@ -69,15 +70,13 @@ class RejectedEvent(ValueError):
 
 @dataclass(slots=True)
 class RawEvent:
+    """One event between two interned Entities.  Its host lives on in the
+    attrs of its process and file endpoints."""
+
     ts: int  # epoch milliseconds
-    host: str
     op: str
-    src_kind: str
-    src: object
-    dst_kind: str
-    dst: object
-    src_id: str  # NodeId of src, fixed when the entity is interned
-    dst_id: str
+    src: Entity
+    dst: Entity
 
 
 @dataclass(slots=True)
@@ -102,8 +101,6 @@ _PIPE_BYTES = 1 << 20
 OPS = tuple(sorted(ALL_OPS))  # op code -> op
 _OP_CODES = {op: code for code, op in enumerate(OPS)}
 _TS_LIMIT = 1 << 63  # ts travels as int64
-
-Entity = Tuple[str, object, str]  # (kind, attrs, NodeId)
 
 # Field names and types of an entity's intern key, which leads with its
 # kind and the host of the event (ip entities ignore the host).
@@ -235,7 +232,7 @@ def _build(key: tuple) -> Entity:
         attrs = FileAttrs(path=key[2], host=key[1])
     else:
         attrs = IpAttrs(src_ip=key[1], src_port=key[2], dst_ip=key[3], dst_port=key[4])
-    return kind, attrs, entity_uuid(kind, attrs)
+    return Entity(kind, attrs, entity_uuid(kind, attrs))
 
 
 def _intern(key: tuple, table: Dict[tuple, Entity]) -> Entity:
@@ -260,10 +257,10 @@ def _entity(obj, host: str, lineno: int, table: Dict[tuple, Entity]) -> Entity:
 
 def parse_event(line: str, lineno: int = 0,
                 table: Optional[Dict[tuple, Entity]] = None) -> RawEvent:
-    """Parse one JSONL line into a RawEvent with its endpoint NodeIds set.
+    """Parse one JSONL line into a RawEvent with its endpoint Entities.
 
     `table` interns entities across the lines of one stream, so events
-    that name the same entity share its attrs object and NodeId; without
+    that name the same entity share its Entity object; without
     it the entities are built afresh.  Raises ParseError for malformed
     input and RejectedEvent for an op outside the recognized set.  Extra
     fields are ignored.
@@ -271,9 +268,8 @@ def parse_event(line: str, lineno: int = 0,
     ts, op, host, src_obj, dst_obj = _fields(_loads(line, lineno), lineno)
     if table is None:
         table = {}
-    src_kind, src, src_id = _entity(src_obj, host, lineno, table)
-    dst_kind, dst, dst_id = _entity(dst_obj, host, lineno, table)
-    return RawEvent(ts, host, op, src_kind, src, dst_kind, dst, src_id, dst_id)
+    return RawEvent(ts, op, _entity(src_obj, host, lineno, table),
+                    _entity(dst_obj, host, lineno, table))
 
 
 @dataclass(slots=True)
@@ -282,16 +278,14 @@ class Chunk:
 
     `src` and `dst` hold chunk-local entity ids, and `keys` lists the
     intern key of every entity the chunk names, in id order.  `op`
-    indexes OPS and `host` indexes `hosts`.  `error` is the ParseError of
-    the malformed line that ended the chunk, if one did.
+    indexes OPS.  `error` is the ParseError of the malformed line that
+    ended the chunk, if one did.
     """
 
     ts: array
     op: array
-    host: array
     src: array
     dst: array
-    hosts: List[str]
     keys: List[tuple]
     rejected: int
     error: Optional[ParseError]
@@ -316,15 +310,12 @@ def decode_chunk(lines: Sequence[bytes], lineno: int = 1) -> Chunk:
     the same line as in a table that spans the stream.  Decoding stops at
     the first malformed line.
     """
-    ts_col, op_col, host_col, src_col, dst_col = (
-        array("q"), array("i"), array("i"), array("i"), array("i"))
+    ts_col, op_col, src_col, dst_col = array("q"), array("i"), array("i"), array("i")
     table: Dict[tuple, int] = {}
-    hosts: Dict[str, int] = {}
     keys: List[tuple] = []
     rejected = 0
     error = None
-    put_ts, put_op, put_host, put_src, put_dst = (
-        ts_col.append, op_col.append, host_col.append, src_col.append, dst_col.append)
+    put_ts, put_op, put_src, put_dst = (c.append for c in (ts_col, op_col, src_col, dst_col))
     codes = _OP_CODES
     try:
         for lineno, raw in enumerate(lines, lineno):
@@ -347,29 +338,21 @@ def decode_chunk(lines: Sequence[bytes], lineno: int = 1) -> Chunk:
             dst = table.get(key)
             if dst is None:
                 dst = _chunk_id(key, lineno, table, keys)
-            h = hosts.get(host)
-            if h is None:
-                h = hosts[host] = len(hosts)
             put_ts(ts)
             put_op(codes[op])
-            put_host(h)
             put_src(src)
             put_dst(dst)
     except ParseError as exc:
         error = exc
-    return Chunk(ts_col, op_col, host_col, src_col, dst_col, list(hosts), keys, rejected,
-                 error)
+    return Chunk(ts_col, op_col, src_col, dst_col, keys, rejected, error)
 
 
 def _chunk_events(chunk: Chunk, table: Dict[tuple, Entity]) -> Iterator[RawEvent]:
     """The RawEvents of a chunk.  `table` is the reader's intern table,
     kept from chunk to chunk, through which the chunk's keys are mapped."""
     ents = [table.get(key) or _intern(key, table) for key in chunk.keys]
-    hosts = chunk.hosts
-    for ts, op, h, s, d in zip(chunk.ts, chunk.op, chunk.host, chunk.src, chunk.dst):
-        src_kind, src, src_id = ents[s]
-        dst_kind, dst, dst_id = ents[d]
-        yield RawEvent(ts, hosts[h], OPS[op], src_kind, src, dst_kind, dst, src_id, dst_id)
+    for ts, op, s, d in zip(chunk.ts, chunk.op, chunk.src, chunk.dst):
+        yield RawEvent(ts, OPS[op], ents[s], ents[d])
 
 
 def _line_batches(fh) -> Iterator[Union[List[bytes], OSError]]:
@@ -430,8 +413,8 @@ def _decode_onto(out, lines: List[bytes], lineno: int) -> bool:
     line ended the chunk."""
     c = decode_chunk(lines, lineno)
     error = None if c.error is None else (str(c.error), c.error.lineno)
-    _send(out, ("chunk", c.ts.tobytes(), c.op.tobytes(), c.host.tobytes(), c.src.tobytes(),
-                c.dst.tobytes(), c.hosts, c.keys, c.rejected, error))
+    _send(out, ("chunk", c.ts.tobytes(), c.op.tobytes(), c.src.tobytes(), c.dst.tobytes(),
+                c.keys, c.rejected, error))
     return error is not None
 
 
@@ -579,12 +562,11 @@ def read_events(path: str, counters: Optional[Dict[str, int]] = None) -> Iterato
                     raise exc
                 if tag == "crash":
                     raise RuntimeError("decoder process failed:\n" + msg[1])
-                _, ts, op, host, src, dst, hosts, keys, rejected, error = msg
+                _, ts, op, src, dst, keys, rejected, error = msg
                 if rejected and counters is not None:
                     counters["rejected_ops"] = counters.get("rejected_ops", 0) + rejected
-                yield from _chunk_events(Chunk(array("q", ts), array("i", op), array("i", host),
-                                               array("i", src), array("i", dst), hosts, keys,
-                                               rejected, None), table)
+                yield from _chunk_events(Chunk(array("q", ts), array("i", op), array("i", src),
+                                               array("i", dst), keys, rejected, None), table)
                 if error is not None:
                     raise ParseError(*error)
     finally:

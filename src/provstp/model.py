@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 PROCESS = "process"
 FILE = "file"
@@ -49,6 +49,14 @@ class IpAttrs:
     src_port: int
     dst_ip: str
     dst_port: int
+
+
+class Entity(NamedTuple):
+    """An interned event endpoint: its kind, attrs object and NodeId."""
+
+    kind: str
+    attrs: object
+    id: str
 
 
 @dataclass(slots=True)
@@ -117,13 +125,13 @@ class WindowGraph:
         return rec
 
     def add_event(self, ev) -> bool:
-        """Add one event, whose endpoints are the nodes ev.src_id and ev.dst_id."""
-        if not legal_op(ev.op, ev.src_kind, ev.dst_kind):
+        """Add one event, whose endpoints are the Entities ev.src and ev.dst."""
+        (src_kind, src_attrs, src), (dst_kind, dst_attrs, dst) = ev.src, ev.dst
+        if not legal_op(ev.op, src_kind, dst_kind):
             self.rejected += 1
             return False
-        src, dst = ev.src_id, ev.dst_id
-        self._node(src, ev.src_kind, ev.src).out_degree += 1
-        self._node(dst, ev.dst_kind, ev.dst).in_degree += 1
+        self._node(src, src_kind, src_attrs).out_degree += 1
+        self._node(dst, dst_kind, dst_attrs).in_degree += 1
         self.edges.append(Edge(src, dst, ev.op, ev.ts))
         adj = self.undirected[src]
         if dst not in adj:

@@ -421,15 +421,7 @@ def steiner_forest(adj: Dict[str, Set[str]], terminals: Sequence[str],
     for t in terms:
         if t not in pending:
             continue
-        queue = deque([t])
-        seen = {t}
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        comp = sorted(pending.intersection(seen))
+        comp = sorted(pending.intersection(bfs(adj, [t])[0]))
         pending.difference_update(comp)
         out.append((comp, build(adj, comp) if len(comp) >= 2 else set()))
     return out

@@ -3,13 +3,14 @@
 import json
 
 from provstp.ingest import RawEvent
-from provstp.model import entity_uuid
+from provstp.model import Entity, entity_uuid
 
 
 def event(op, src_kind, src, dst_kind, dst, ts=0):
-    """A RawEvent on host h1 with its NodeIds set, as the parser sets them."""
-    return RawEvent(ts=ts, host="h1", op=op, src_kind=src_kind, src=src, dst_kind=dst_kind,
-                    dst=dst, src_id=entity_uuid(src_kind, src), dst_id=entity_uuid(dst_kind, dst))
+    """A RawEvent between the Entities of these attrs, with their NodeIds
+    set as the parser sets them."""
+    return RawEvent(ts=ts, op=op, src=Entity(src_kind, src, entity_uuid(src_kind, src)),
+                    dst=Entity(dst_kind, dst, entity_uuid(dst_kind, dst)))
 
 
 def write_chain_stream(path, windows, procs, private_files=2, window_ms=10_000):

@@ -119,6 +119,19 @@ def test_incoming_merges_with_resident(tmp_path):
     assert entry.has == pytest.approx(1.0 + 1.0 + 0.5 + 0.25 + 0.25)
     audit(c)
 
+    # an incoming hopset that bridges two residents merges with both into one entry
+    c = fresh_cache(tmp_path / "bridge")
+    insert_or_merge(c, [make_hopset("t0", {"a": 0.5}), make_hopset("t1", {"b": 0.5}),
+                        make_hopset("t2", {"c": 0.5})], 0)
+    insert_or_merge(c, [make_hopset("t3", {"a": 0.25, "b": 0.25})], 1)
+    merged = c.entries[c.node_index["t3"]]
+    assert merged.terminals == {"t0", "t1", "t3"}
+    assert (merged.age, merged.last_window) == (0, 1)
+    assert merged.has == pytest.approx(1.0 * 3 + 0.5 + 0.5)
+    third = c.entries[c.node_index["t2"]]
+    assert len(c.entries) == 2 and third.age == 1
+    audit(c)
+
 
 def test_disjoint_incoming_ages_resident(tmp_path):
     c = fresh_cache(tmp_path)

@@ -90,6 +90,16 @@ def test_train_without_model_dir_fails(data_dir, tmp_path, capsys):
     assert err == "train needs --model-dir for the model artifacts\n"
 
 
+def test_train_unwritable_model_dir_fails_cleanly(data_dir, tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    rc = main(["train", "--input", str(data_dir / "quiet" / "events.jsonl"),
+               "--model-dir", str(tmp_path / "afile" / "models")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("train failed: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_train_reads_model_dir_from_config(data_dir, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"model_dir": str(tmp_path / "m")}))
@@ -331,8 +341,21 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg_path.write_text(json.dumps({"cachecapacity": 5}))
     parser = build_parser()
     args = parser.parse_args(["bench", "--input", "x", "--config", str(cfg_path)])
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         resolve_config(args)
+    assert str(cfg_path) in str(exc.value.code)
+
+
+@pytest.mark.parametrize("text", [None, "{bad", "[1, 2]"], ids=["missing", "bad-json", "list"])
+def test_config_file_unreadable_fails_cleanly(tmp_path, text):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    args = build_parser().parse_args(["bench", "--input", "x", "--config", str(cfg_path)])
+    with pytest.raises(SystemExit) as exc:
+        resolve_config(args)
+    msg = exc.value.code
+    assert isinstance(msg, str) and str(cfg_path) in msg and "\n" not in msg
 
 
 def test_defaults_without_any_flags():

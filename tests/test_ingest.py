@@ -42,13 +42,13 @@ def test_parse_event_full_schema():
         '"dst":{"kind":"process","pid":2,"tid":2,"uid":0,"name":"sh","cmdline":"sh"}}'
     )
     ev = parse_event(line, 1)
-    assert ev.op == "fork" and ev.ts == 0 and ev.host == "h1"
-    assert ev.src.pid == 1 and ev.dst.name == "sh"
+    assert ev.op == "fork" and ev.ts == 0 and ev.src.attrs.host == "h1"
+    assert ev.src.attrs.pid == 1 and ev.dst.attrs.name == "sh"
 
 
 def test_parse_event_tid_defaults_to_pid():
     ev = parse_event(_line(5, pid=77))
-    assert ev.src.tid == 77
+    assert ev.src.attrs.tid == 77
 
 
 def test_parse_event_missing_field_errors_with_line_number():
@@ -217,8 +217,8 @@ def test_parse_event_sets_node_ids():
     from provstp.model import entity_uuid
 
     ev = parse_event(_line(0))
-    assert ev.src_id == entity_uuid(ev.src_kind, ev.src)
-    assert ev.dst_id == entity_uuid(ev.dst_kind, ev.dst)
+    assert ev.src.id == entity_uuid(ev.src.kind, ev.src.attrs)
+    assert ev.dst.id == entity_uuid(ev.dst.kind, ev.dst.attrs)
 
 
 def test_read_events_interns_repeated_entities(tmp_path):
@@ -226,7 +226,7 @@ def test_read_events_interns_repeated_entities(tmp_path):
     p.write_text(_line(0) + "\n" + _line(1) + "\n" + _line(2, path="/tmp/b") + "\n")
     a, b, c = read_events(str(p))
     assert a.src is b.src and a.dst is b.dst and a.src is c.src
-    assert c.dst is not a.dst and c.dst_id != a.dst_id
+    assert c.dst is not a.dst and c.dst.id != a.dst.id
 
 
 _ENTITIES = [
@@ -584,7 +584,7 @@ def _read_outcome(path, chunk_lines):
 
 def _identity_pattern(events):
     """For each event, the index of the first event holding the same
-    src and dst attrs objects."""
+    src and dst Entity objects."""
     first = {}
     return [(first.setdefault(id(e.src), i), first.setdefault(id(e.dst), i))
             for i, e in enumerate(events)]

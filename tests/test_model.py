@@ -142,7 +142,7 @@ def test_round_trip_from_jsonl_line():
     )
     ev = parse_event(line, 1)
     g = build_window_graph([ev])
-    assert entity_uuid("process", ev.dst) == "c118f5d49c6b9f7a29345b361eba1e87"  # md5("22sh")
+    assert entity_uuid("process", ev.dst.attrs) == "c118f5d49c6b9f7a29345b361eba1e87"  # md5("22sh")
     assert len(g.nodes) == 2
 
 
@@ -179,9 +179,10 @@ def test_interned_parse_builds_same_graph_as_plain_events(rows):
              for ts, (op, s, d) in enumerate(rows)]
     table = {}
     parsed = [parse_event(line, n, table) for n, line in enumerate(lines, start=1)]
-    assert all(ev.src_id == entity_uuid(ev.src_kind, ev.src)
-               and ev.dst_id == entity_uuid(ev.dst_kind, ev.dst) for ev in parsed)
-    plain = [event(ev.op, ev.src_kind, ev.src, ev.dst_kind, ev.dst, ev.ts) for ev in parsed]
+    assert all(ev.src.id == entity_uuid(ev.src.kind, ev.src.attrs)
+               and ev.dst.id == entity_uuid(ev.dst.kind, ev.dst.attrs) for ev in parsed)
+    plain = [event(ev.op, ev.src.kind, ev.src.attrs, ev.dst.kind, ev.dst.attrs, ev.ts)
+             for ev in parsed]
     assert _graph_state(build_window_graph(parsed)) == _graph_state(build_window_graph(plain))
 
 
