@@ -1,54 +1,35 @@
 """JSONL audit-event parsing and event-time windowing.
 
-`read_events` decodes the stream in two decoder processes, so that JSON
-decoding, most of the cost of ingest, runs beside the caller, which
-builds and scores windows.  On a 2-core machine the three share the two
-cores.
+`read_events` decodes the input in the caller's process.  Most audit
+lines repeat an earlier line in all but their `ts`, so the reader keeps
+a memo from a line's bytes before its last `"ts": `, its prefix, to what
+decoding the line gave: the op and the two interned Entities, or
+"rejected op".  A line whose prefix is in the memo is decoded by reading
+its `ts` alone.
 
-The reader forks both decoders, so it alone kills and reaps them.
-Decoder A is the only process that reads the input (stdin only ever
-there).  It reads it as bytes, splits it into lines as text mode would,
-and cuts the lines into batches of CHUNK_LINES (fewer when a read finds
-the input caught up).  It decodes the even batches itself and forwards
-the odd ones, with their first line number, to decoder B over a pipe
-between the two.  Both hand batches to `decode_chunk`, which validates,
-interns and rejects exactly as `parse_event` does.  Neither builds an
-attrs object, a RawEvent or a numpy array, and each closes every
-inherited descriptor but its own pipes (and, in A, the input's).  The
-reader takes chunk i from decoder i mod 2.  Each pipe is grown to 1 MB
-where the kernel allows, so that a decoder with work to do seldom waits
-for its reader.
-
-Wire format: one message per chunk over an `os.pipe`, an 8-byte length
-and a `marshal`led tuple.  A chunk holds integer columns, `ts` (int64)
-and op code, src id and dst id (int32), plus the intern keys of every
-entity it names (in order of their chunk-local ids) and its rejected-op
-count.  A chunk that stops at a malformed line carries that line's
-ParseError, which the reader raises once it has yielded every event
-before it.  The message after the last chunk, in the next slot, says how
-the input ended: its end, an OSError, or a crash.
-
-The reader maps each chunk's keys through its own intern table, bounded
-by INTERN_LIMIT, and builds each entity's Entity (kind, attrs object and
-NodeId) once.  It yields events that hold the interned Entities, the
-same RawEvents that in-process parsing gives.  Pickling those objects,
-or WindowBatches, would cost more than parsing them; the columns cost
-the reader about half a microsecond per event, and mapping the keys 6 ms
-a pass (about 90 keys a chunk, 1 650 distinct ones).
+The memo cannot change a result.  A prefix is a key only when the rest
+of the line is a JSON integer of at most 18 digits, a `}` and JSON's
+own whitespace, and the prefix does not end in a backslash, which would
+put the quote of `"ts"` inside a key string.  On a line that decodes
+cleanly, that final `}` then closes the top-level object, so `ts` is its
+last member, and JSON keeps the last of duplicate keys: the prefix
+fixes every field but `ts`.  Such a `ts` is never negative or out of
+range, so a hit is never an error; a hit on a rejected op counts it as
+a parse would.  A miss goes through `parse_event`, and only a line that
+decoded cleanly or was rejected enters the memo; an error never does.
+The memo holds Entities of the stream's intern table, and both are
+cleared when the table fills, so a hit yields the very Entity objects a
+parse of the line would.
 """
 
 from __future__ import annotations
 
-import fcntl
-import itertools
 import json
-import marshal
-import os
-import signal
+import re
 import sys
-from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .model import (ALL_OPS, FILE, IP, PROCESS, Entity, FileAttrs, IpAttrs, ProcessAttrs,
                     entity_uuid)
@@ -86,21 +67,19 @@ class WindowBatch:
 
 
 # Entities held in one stream's intern table before it is cleared, which
-# bounds the table to some 20 MB.
+# bounds the table to some 20 MB; its memo holds as many prefixes at most.
 INTERN_LIMIT = 1 << 15
 
-# Lines a decoder decodes into one chunk when the input is ahead of it; a
-# shorter chunk goes out when a read finds no more input waiting.
-CHUNK_LINES = 2048
 _READ_BYTES = 1 << 16
-# Capacity asked for each decoder pipe.  A batch A forwards to B is some
-# 500 KB and a decoded chunk some 50 KB (on 200-byte lines), so with the
-# default 64 KB a decoder would wait for its reader at every message.
-_PIPE_BYTES = 1 << 20
-
-OPS = tuple(sorted(ALL_OPS))  # op code -> op
-_OP_CODES = {op: code for code, op in enumerate(OPS)}
-_TS_LIMIT = 1 << 63  # ts travels as int64
+_TS_LIMIT = 1 << 63  # a ts must fit an int64
+# The end of a line whose prefix is a memo key: its last `"ts": `, a ts
+# that JSON reads as an int in [0, 10**18), below _TS_LIMIT, the `}` and
+# only JSON's whitespace (Python's \s would also take \f and \v, which
+# json.loads rejects).
+_TS_KEY = b'"ts": '
+_TS_TAIL = re.compile(rb'"ts": (0|[1-9][0-9]{0,17})\}[ \t\r\n]*\Z')
+_BACKSLASH = ord("\\")
+_REJECTED = ("rejected op",)  # memo value of a line whose op is rejected
 
 # Field names and types of an entity's intern key, which leads with its
 # kind and the host of the event (ip entities ignore the host).
@@ -210,38 +189,23 @@ def _key(obj, host: str, lineno: int) -> tuple:
     return key if typed else _normalised(key, lineno)
 
 
-def _check_new(key: tuple, lineno: int):
-    """Check the values of a key about to enter an intern table."""
-    kind = key[0]
-    if kind == FILE:
-        if not key[2]:
-            raise ParseError("line %d: empty file path" % lineno, lineno)
-    elif kind == IP:
-        for port in (key[2], key[4]):
-            if not 0 <= port <= 65535:
-                raise ParseError("line %d: port %d out of range" % (lineno, port), lineno)
-
-
-def _build(key: tuple) -> Entity:
-    """The entity of a checked intern key: its kind, attrs and NodeId."""
+def _new_entity(key: tuple, lineno: int) -> Entity:
+    """The entity of an intern key about to enter a table, its kind, attrs
+    and NodeId, once its values are checked."""
     kind = key[0]
     if kind == PROCESS:
         _, host, pid, tid, uid, name, cmdline = key
         attrs = ProcessAttrs(pid=pid, tid=tid, uid=uid, name=name, cmdline=cmdline, host=host)
     elif kind == FILE:
+        if not key[2]:
+            raise ParseError("line %d: empty file path" % lineno, lineno)
         attrs = FileAttrs(path=key[2], host=key[1])
     else:
+        for port in (key[2], key[4]):
+            if not 0 <= port <= 65535:
+                raise ParseError("line %d: port %d out of range" % (lineno, port), lineno)
         attrs = IpAttrs(src_ip=key[1], src_port=key[2], dst_ip=key[3], dst_port=key[4])
     return Entity(kind, attrs, entity_uuid(kind, attrs))
-
-
-def _intern(key: tuple, table: Dict[tuple, Entity]) -> Entity:
-    """Enter the entity of a checked key into an intern table, which is
-    cleared first if it holds INTERN_LIMIT entities."""
-    if len(table) >= INTERN_LIMIT:
-        table.clear()
-    ent = table[key] = _build(key)
-    return ent
 
 
 def _entity(obj, host: str, lineno: int, table: Dict[tuple, Entity]) -> Entity:
@@ -250,8 +214,7 @@ def _entity(obj, host: str, lineno: int, table: Dict[tuple, Entity]) -> Entity:
     key = _key(obj, host, lineno)
     ent = table.get(key)
     if ent is None:
-        _check_new(key, lineno)
-        ent = _intern(key, table)
+        ent = table[key] = _new_entity(key, lineno)
     return ent
 
 
@@ -260,10 +223,10 @@ def parse_event(line: str, lineno: int = 0,
     """Parse one JSONL line into a RawEvent with its endpoint Entities.
 
     `table` interns entities across the lines of one stream, so events
-    that name the same entity share its Entity object; without
-    it the entities are built afresh.  Raises ParseError for malformed
-    input and RejectedEvent for an op outside the recognized set.  Extra
-    fields are ignored.
+    that name the same entity share its Entity object; without it the
+    entities are built afresh.  The caller bounds the table.  Raises
+    ParseError for malformed input and RejectedEvent for an op outside
+    the recognized set.  Extra fields are ignored.
     """
     ts, op, host, src_obj, dst_obj = _fields(_loads(line, lineno), lineno)
     if table is None:
@@ -272,310 +235,86 @@ def parse_event(line: str, lineno: int = 0,
                     _entity(dst_obj, host, lineno, table))
 
 
-@dataclass(slots=True)
-class Chunk:
-    """Decoded lines as integer columns, one row per accepted event.
-
-    `src` and `dst` hold chunk-local entity ids, and `keys` lists the
-    intern key of every entity the chunk names, in id order.  `op`
-    indexes OPS.  `error` is the ParseError of the malformed line that
-    ended the chunk, if one did.
-    """
-
-    ts: array
-    op: array
-    src: array
-    dst: array
-    keys: List[tuple]
-    rejected: int
-    error: Optional[ParseError]
-
-
-def _chunk_id(key: tuple, lineno: int, table: Dict[tuple, int], keys: List[tuple]) -> int:
-    """Check a key new to a chunk and enter it into the chunk's table;
-    returns its chunk-local id."""
-    _check_new(key, lineno)
-    i = table[key] = len(keys)
-    keys.append(key)
-    return i
-
-
-def decode_chunk(lines: Sequence[bytes], lineno: int = 1) -> Chunk:
-    """Decode raw JSONL lines, the first of which is line `lineno`, into a Chunk.
-
-    Validation, rejected ops and ParseError messages are those of
-    parse_event; a line that is not UTF-8 is malformed too.  Entities are
-    interned in a table of the chunk's own, and a key is checked when it
-    enters that table: the check depends on the key alone, so it fails on
-    the same line as in a table that spans the stream.  Decoding stops at
-    the first malformed line.
-    """
-    ts_col, op_col, src_col, dst_col = array("q"), array("i"), array("i"), array("i")
-    table: Dict[tuple, int] = {}
-    keys: List[tuple] = []
-    rejected = 0
-    error = None
-    put_ts, put_op, put_src, put_dst = (c.append for c in (ts_col, op_col, src_col, dst_col))
-    codes = _OP_CODES
-    try:
-        for lineno, raw in enumerate(lines, lineno):
-            try:
-                line = raw.decode()
-            except UnicodeDecodeError as exc:
-                raise ParseError("line %d: not UTF-8: %s" % (lineno, exc), lineno) from None
-            if not line or line.isspace():
-                continue
-            try:
-                ts, op, host, src_obj, dst_obj = _fields(_loads(line, lineno), lineno)
-            except RejectedEvent:
-                rejected += 1
-                continue
-            key = _key(src_obj, host, lineno)
-            src = table.get(key)
-            if src is None:
-                src = _chunk_id(key, lineno, table, keys)
-            key = _key(dst_obj, host, lineno)
-            dst = table.get(key)
-            if dst is None:
-                dst = _chunk_id(key, lineno, table, keys)
-            put_ts(ts)
-            put_op(codes[op])
-            put_src(src)
-            put_dst(dst)
-    except ParseError as exc:
-        error = exc
-    return Chunk(ts_col, op_col, src_col, dst_col, keys, rejected, error)
-
-
-def _chunk_events(chunk: Chunk, table: Dict[tuple, Entity]) -> Iterator[RawEvent]:
-    """The RawEvents of a chunk.  `table` is the reader's intern table,
-    kept from chunk to chunk, through which the chunk's keys are mapped."""
-    ents = [table.get(key) or _intern(key, table) for key in chunk.keys]
-    for ts, op, s, d in zip(chunk.ts, chunk.op, chunk.src, chunk.dst):
-        yield RawEvent(ts, OPS[op], ents[s], ents[d])
-
-
-def _line_batches(fh) -> Iterator[Union[List[bytes], OSError]]:
-    """The raw lines of the binary input `fh` in batches to decode:
-    CHUNK_LINES at a time while the input is ahead, the rest when a read
-    finds it caught up.
+def _line_batches(fh) -> Iterator[List[bytes]]:
+    """The raw lines of the binary input `fh`, those of each read as one
+    batch, so that a line is yielded as soon as a read returns it.
 
     Lines end at "\\n", "\\r\\n" or "\\r", each read as "\\n", as in text
-    mode.  An OSError from reading comes last, after the complete lines
-    read before it.
+    mode.  An OSError from a read propagates once every line read before
+    it has been yielded.
     """
-    lines: List[bytes] = []
     tail = b""
-    try:
-        while True:
-            block = fh.read1(_READ_BYTES)
-            data = tail + block
-            if b"\r" in data:
-                # Keep a final "\r" back while more may come: its "\n"
-                # can be the first byte of the next block.
-                cut = len(data) - (bool(block) and data.endswith(b"\r"))
-                data = data[:cut].replace(b"\r\n", b"\n").replace(b"\r", b"\n") + data[cut:]
-            got = data.splitlines(True)
-            tail = got.pop() if got and block and not got[-1].endswith(b"\n") else b""
-            lines += got
-            while len(lines) >= CHUNK_LINES:
-                yield lines[:CHUNK_LINES]
-                del lines[:CHUNK_LINES]
-            if lines and len(block) < _READ_BYTES:
-                yield lines
-                lines = []
-            if not block:
-                return
-    except OSError as exc:
+    while True:
+        block = fh.read1(_READ_BYTES)
+        data = tail + block
+        if b"\r" in data:
+            # Keep a final "\r" back while more may come: its "\n"
+            # can be the first byte of the next block.
+            cut = len(data) - (bool(block) and data.endswith(b"\r"))
+            data = data[:cut].replace(b"\r\n", b"\n").replace(b"\r", b"\n") + data[cut:]
+        lines = data.splitlines(True)
+        tail = lines.pop() if lines and block and not lines[-1].endswith(b"\n") else b""
         if lines:
             yield lines
-        yield exc
-
-
-def _send(out, msg: tuple):
-    body = marshal.dumps(msg)
-    out.write(len(body).to_bytes(8, "little"))
-    out.write(body)
-    out.flush()
-
-
-def _receive(pipe) -> Optional[tuple]:
-    """The next message, or None at end of file or where the input ends
-    inside a message, as when its writer died while sending it."""
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little")
-    body = pipe.read(size) if len(head) == 8 else b""
-    return marshal.loads(body) if body and len(body) == size else None
-
-
-def _decode_onto(out, lines: List[bytes], lineno: int) -> bool:
-    """Decode lines into one chunk message on `out`; True if a malformed
-    line ended the chunk."""
-    c = decode_chunk(lines, lineno)
-    error = None if c.error is None else (str(c.error), c.error.lineno)
-    _send(out, ("chunk", c.ts.tobytes(), c.op.tobytes(), c.src.tobytes(), c.dst.tobytes(),
-                c.keys, c.rejected, error))
-    return error is not None
-
-
-def _grow_pipe(fd: int):
-    """Ask for a pipe of _PIPE_BYTES, so that a decoder with work to do
-    seldom waits for its reader; a pipe keeps its size if that fails."""
-    try:
-        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    except OSError:
-        pass
-
-
-def _close_inherited(*keep):
-    """Close every descriptor this process inherited but those of `keep`:
-    descriptors, and file objects that may have none (an in-memory input)."""
-    fds = []
-    for f in keep:
-        try:
-            fds.append(f if isinstance(f, int) else f.fileno())
-        except (OSError, ValueError):  # io.UnsupportedOperation
-            pass
-    fds.sort()
-    for low, high in zip([-1] + fds, fds + [os.sysconf("SC_OPEN_MAX")]):
-        if low + 1 < high:  # closerange(0, 0) closes every descriptor on Python 3.11
-            os.closerange(low + 1, high)
-
-
-def _split_to(path: str, out, to_b):
-    """Decoder A's work: read the input, decode the even batches onto
-    `out` and forward the odd ones to decoder B over `to_b`.  The message
-    that says how the input ended takes the next slot, on `out` or
-    through B.  The input is open before the other inherited descriptors
-    are closed, so a path such as /dev/fd/N still names a live one."""
-    slot, lineno = 0, 1
-    try:
-        try:
-            fh = sys.stdin.buffer if path == "-" else open(path, "rb")
-        except OSError as exc:
-            _close_inherited(out, to_b)
-            batches: Iterable = [exc]
-        else:
-            _close_inherited(out, to_b, fh)
-            batches = _line_batches(fh)
-        for lines in batches:
-            if isinstance(lines, OSError):
-                last = ("oserror", lines.args, lines.filename)
-                break
-            if slot & 1:
-                _send(to_b, ("lines", lineno, lines))
-            elif _decode_onto(out, lines, lineno):
-                return
-            slot += 1
-            lineno += len(lines)
-        else:
-            last = ("end",)
-    except Exception:
-        import traceback
-
-        last = ("crash", traceback.format_exc())
-    _send((out, to_b)[slot & 1], last)
-
-
-def _decode_from(src, out):
-    """Decoder B's work: decode the batches A forwards, and relay the
-    message that ends the input when it falls in B's slot."""
-    try:
-        while True:
-            msg = _receive(src)
-            if msg is None:  # A stopped at a malformed line, or died
-                return
-            if msg[0] != "lines":
-                _send(out, msg)
-                return
-            if _decode_onto(out, msg[2], msg[1]):
-                return
-    except Exception:
-        import traceback
-
-        _send(out, ("crash", traceback.format_exc()))
-
-
-def _decoder(body: Callable[..., None], *args) -> int:
-    """Fork a decoder process that runs body(*args); returns its pid.  The
-    decoder never returns or runs the parent's exit handlers: it leaves
-    through os._exit, so Ctrl-C or a reader that went away (EPIPE) ends it
-    without a traceback."""
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            body(*args)
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
-
-
-def _decoder_a(path: str, out_fd: int, to_b_fd: int):
-    with open(out_fd, "wb") as out, open(to_b_fd, "wb") as to_b:
-        _split_to(path, out, to_b)
-
-
-def _decoder_b(src_fd: int, out_fd: int):
-    _close_inherited(src_fd, out_fd)
-    with open(out_fd, "wb") as out, open(src_fd, "rb") as src:
-        _decode_from(src, out)
+        if not block:
+            return
 
 
 def read_events(path: str, counters: Optional[Dict[str, int]] = None) -> Iterator[RawEvent]:
     """Yield RawEvents from a JSONL file ('-' for stdin).
 
-    Two decoder processes, forked on the first next(), decode the input
-    (see the module docstring).  Entities are interned per stream, as in
-    parse_event.  Lines with an unrecognized op are skipped and counted
-    under 'rejected_ops'; a malformed line raises ParseError once every
-    event before it has been yielded.  However the generator ends, and
-    also when making a pipe or forking fails, every pipe descriptor it
-    made is closed and every decoder it forked is killed and reaped.
+    Entities are interned per stream, as in parse_event, and a line that
+    repeats an earlier one in all but its `ts` is decoded from the memo
+    (see the module docstring).  Lines with an unrecognized op are
+    skipped and counted under 'rejected_ops'; a malformed line raises
+    ParseError, and a failed read its OSError, once every event before
+    it has been yielded.  However the generator ends, it closes the file
+    it opened; stdin stays open.
     """
-    ends: List[int] = []  # pipe descriptors this process holds
-    pids: List[int] = []
-    try:
-        for _ in range(3):
-            ends += os.pipe()
-        ra, wa, rb, wb, r_ab, w_ab = ends  # A to the reader, B to the reader, A to B
-        for fd in (wa, wb, w_ab):
-            _grow_pipe(fd)
-        pids.append(_decoder(_decoder_b, r_ab, wb))
-        pids.append(_decoder(_decoder_a, path, wa, w_ab))
-        for fd in (wa, wb, r_ab, w_ab):
-            ends.remove(fd)
-            os.close(fd)
-        table: Dict[tuple, Entity] = {}
-        with open(ra, "rb", closefd=False) as a, open(rb, "rb", closefd=False) as b:
-            for pipe in itertools.cycle((a, b)):
-                msg = _receive(pipe)
-                if msg is None:
-                    raise OSError("a decoder process ended before its input did")
-                tag = msg[0]
-                if tag == "end":
-                    return
-                if tag == "oserror":
-                    exc = OSError(*msg[1])
-                    exc.filename = msg[2]
-                    raise exc
-                if tag == "crash":
-                    raise RuntimeError("decoder process failed:\n" + msg[1])
-                _, ts, op, src, dst, keys, rejected, error = msg
-                if rejected and counters is not None:
-                    counters["rejected_ops"] = counters.get("rejected_ops", 0) + rejected
-                yield from _chunk_events(Chunk(array("q", ts), array("i", op), array("i", src),
-                                               array("i", dst), keys, rejected, None), table)
-                if error is not None:
-                    raise ParseError(*error)
-    finally:
-        for fd in ends:
-            os.close(fd)
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
+    table: Dict[tuple, Entity] = {}
+    memo: Dict[bytes, tuple] = {}  # prefix -> (op, src, dst) or _REJECTED
+    match, memo_get = _TS_TAIL.match, memo.get
+    lineno = 0
+    with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
+        for lines in _line_batches(fh):
+            for raw in lines:
+                lineno += 1
+                at = raw.rfind(_TS_KEY)
+                tail = match(raw, at) if at > 0 and raw[at - 1] != _BACKSLASH else None
+                prefix = raw[:at] if tail else None
+                got = memo_get(prefix)
+                if got is None:
+                    try:
+                        line = raw.decode()
+                    except UnicodeDecodeError as exc:
+                        raise ParseError("line %d: not UTF-8: %s" % (lineno, exc),
+                                         lineno) from None
+                    if not line or line.isspace():
+                        continue
+                    try:
+                        ev = parse_event(line, lineno, table)
+                        got = (ev.op, ev.src, ev.dst)
+                    except RejectedEvent:
+                        got = _REJECTED
+                    # The table grows only on a line that names an entity new
+                    # to it, which no memo entry holds, so it clears on the
+                    # same lines warm or cold; the line that fills it stays
+                    # out of the emptied memo, as its entities are gone.
+                    if len(table) >= INTERN_LIMIT:
+                        table.clear()
+                        memo.clear()
+                    elif prefix is not None:
+                        if len(memo) >= INTERN_LIMIT:
+                            memo.clear()
+                        memo[prefix] = got
+                    if got is not _REJECTED:
+                        yield ev
+                        continue
+                elif got is not _REJECTED:
+                    yield RawEvent(int(tail[1]), *got)
+                    continue
+                if counters is not None:
+                    counters["rejected_ops"] = counters.get("rejected_ops", 0) + 1
 
 
 def window_stream(
