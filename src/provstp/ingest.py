@@ -1,11 +1,11 @@
 """JSONL audit-event parsing and event-time windowing.
 
-`read_events` decodes the input in the caller's process.  Most audit
-lines repeat an earlier line in all but their `ts`, so the reader keeps
-a memo from a line's bytes before its last `"ts": `, its prefix, to what
-decoding the line gave: the op and the two interned Entities, or
-"rejected op".  A line whose prefix is in the memo is decoded by reading
-its `ts` alone.
+`read_events` decodes the input in the caller's process into events,
+`RawEvent(ts, edge)`.  Most audit lines repeat an earlier line in all
+but their `ts`, so the reader keeps a memo from a line's bytes before
+its last `"ts": `, its prefix, to the `model.Edge` decoding the line
+gave, or "rejected op".  A line whose prefix is in the memo is decoded
+by reading its `ts` alone, and its event holds that very Edge.
 
 The memo cannot change a result.  A prefix is a key only when the rest
 of the line is a JSON integer of at most 18 digits, a `}` and JSON's
@@ -17,9 +17,9 @@ fixes every field but `ts`.  Such a `ts` is never negative or out of
 range, so a hit is never an error; a hit on a rejected op counts it as
 a parse would.  A miss goes through `parse_event`, and only a line that
 decoded cleanly or was rejected enters the memo; an error never does.
-The memo holds Entities of the stream's intern table, and both are
-cleared when the table fills, so a hit yields the very Entity objects a
-parse of the line would.
+The memo's Edges hold Entities of the stream's intern table, and both
+are cleared when the table fills, so a hit yields the very Entity
+objects a parse of the line would.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .model import (ALL_OPS, FILE, IP, PROCESS, Entity, FileAttrs, IpAttrs, ProcessAttrs,
-                    entity_uuid)
+from .model import (ALL_OPS, FILE, IP, PROCESS, Edge, Entity, FileAttrs, IpAttrs,
+                    ProcessAttrs, entity_uuid)
 
 DEFAULT_WINDOW_SECONDS = 10.0
 
@@ -51,13 +51,11 @@ class RejectedEvent(ValueError):
 
 @dataclass(slots=True)
 class RawEvent:
-    """One event between two interned Entities.  Its host lives on in the
-    attrs of its process and file endpoints."""
+    """One event, an Edge at ts.  Its host lives on in the attrs of its
+    process and file endpoints."""
 
     ts: int  # epoch milliseconds
-    op: str
-    src: Entity
-    dst: Entity
+    edge: Edge
 
 
 @dataclass(slots=True)
@@ -106,7 +104,7 @@ def _loads(line: str, lineno: int):
         pass
     try:
         return json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ParseError("line %d: invalid JSON: %s" % (lineno, exc), lineno) from None
 
 
@@ -220,7 +218,7 @@ def _entity(obj, host: str, lineno: int, table: Dict[tuple, Entity]) -> Entity:
 
 def parse_event(line: str, lineno: int = 0,
                 table: Optional[Dict[tuple, Entity]] = None) -> RawEvent:
-    """Parse one JSONL line into a RawEvent with its endpoint Entities.
+    """Parse one JSONL line into a RawEvent with a new Edge between its Entities.
 
     `table` interns entities across the lines of one stream, so events
     that name the same entity share its Entity object; without it the
@@ -231,8 +229,8 @@ def parse_event(line: str, lineno: int = 0,
     ts, op, host, src_obj, dst_obj = _fields(_loads(line, lineno), lineno)
     if table is None:
         table = {}
-    return RawEvent(ts, op, _entity(src_obj, host, lineno, table),
-                    _entity(dst_obj, host, lineno, table))
+    return RawEvent(ts, Edge(op, _entity(src_obj, host, lineno, table),
+                             _entity(dst_obj, host, lineno, table)))
 
 
 def _line_batches(fh) -> Iterator[List[bytes]]:
@@ -272,7 +270,7 @@ def read_events(path: str, counters: Optional[Dict[str, int]] = None) -> Iterato
     it opened; stdin stays open.
     """
     table: Dict[tuple, Entity] = {}
-    memo: Dict[bytes, tuple] = {}  # prefix -> (op, src, dst) or _REJECTED
+    memo: Dict[bytes, object] = {}  # prefix -> Edge or _REJECTED
     match, memo_get = _TS_TAIL.match, memo.get
     lineno = 0
     with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
@@ -293,7 +291,7 @@ def read_events(path: str, counters: Optional[Dict[str, int]] = None) -> Iterato
                         continue
                     try:
                         ev = parse_event(line, lineno, table)
-                        got = (ev.op, ev.src, ev.dst)
+                        got = ev.edge
                     except RejectedEvent:
                         got = _REJECTED
                     # The table grows only on a line that names an entity new
@@ -311,7 +309,7 @@ def read_events(path: str, counters: Optional[Dict[str, int]] = None) -> Iterato
                         yield ev
                         continue
                 elif got is not _REJECTED:
-                    yield RawEvent(int(tail[1]), *got)
+                    yield RawEvent(int(tail[1]), got)
                     continue
                 if counters is not None:
                     counters["rejected_ops"] = counters.get("rejected_ops", 0) + 1

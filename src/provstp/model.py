@@ -2,14 +2,18 @@
 
 Nodes are processes, files, and socket 4-tuples.  Each entity gets a
 deterministic md5 uuid so the same real-world object maps to the same
-node across windows and across runs.
+node across windows and across runs.  An event is a `ts` and an `Edge`,
+an op between two interned Entities; a window graph folds each distinct
+Edge once, weighted by its events.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
+from collections import Counter
+from operator import attrgetter
+from typing import Dict, Iterable, NamedTuple, Set, Tuple
 
 PROCESS = "process"
 FILE = "file"
@@ -59,12 +63,13 @@ class Entity(NamedTuple):
     id: str
 
 
-@dataclass(slots=True)
 class Edge:
-    src: str  # NodeId digest
-    dst: str
-    op: str
-    ts: int  # epoch milliseconds
+    """An op from Entity src to dst, hashed by identity: counting its events runs no Python."""
+
+    __slots__ = ("op", "src", "dst")
+
+    def __init__(self, op: str, src: Entity, dst: Entity):
+        self.op, self.src, self.dst = op, src, dst
 
 
 def legal_op(op: str, src_kind: str, dst_kind: str) -> bool:
@@ -104,50 +109,45 @@ class WindowGraph:
 
     The undirected adjacency collapses every (u, v) pair to a single edge
     of weight 1, and first_op keeps the op of the first event on each
-    pair, keyed by the pair in sorted order.  The directed edge list is
-    read only by tests and by perfbench's traced `model.edges` count.
-    Built single-threaded, then treated as read-only.
+    pair, keyed by the pair in sorted order.  `edges`, each legal Edge's
+    event count, is read only by tests and by perfbench's traced
+    `model.edges` count.  Built single-threaded, then treated as read-only.
     """
 
     def __init__(self, window_index: int = 0):
         self.window_index = window_index
         self.nodes: Dict[str, NodeRec] = {}
-        self.edges: List[Edge] = []
+        self.edges: Dict[Edge, int] = {}
         self.undirected: Dict[str, Set[str]] = {}
         self.first_op: Dict[Tuple[str, str], str] = {}
         self.rejected = 0  # events whose op was illegal for the endpoint kinds
-
-    def _node(self, nid: str, kind: str, attrs) -> NodeRec:
-        rec = self.nodes.get(nid)
-        if rec is None:
-            rec = self.nodes[nid] = NodeRec(kind, attrs)
-            self.undirected[nid] = set()
-        return rec
-
-    def add_event(self, ev) -> bool:
-        """Add one event, whose endpoints are the Entities ev.src and ev.dst."""
-        (src_kind, src_attrs, src), (dst_kind, dst_attrs, dst) = ev.src, ev.dst
-        if not legal_op(ev.op, src_kind, dst_kind):
-            self.rejected += 1
-            return False
-        self._node(src, src_kind, src_attrs).out_degree += 1
-        self._node(dst, dst_kind, dst_attrs).in_degree += 1
-        self.edges.append(Edge(src, dst, ev.op, ev.ts))
-        adj = self.undirected[src]
-        if dst not in adj:
-            adj.add(dst)
-            self.undirected[dst].add(src)
-            self.first_op[(src, dst) if src < dst else (dst, src)] = ev.op
-        return True
 
 
 def build_window_graph(events: Iterable, window_index: int = 0) -> WindowGraph:
     """Fold one window's events into a WindowGraph.
 
     Events whose op is illegal for their endpoint kinds are dropped and
-    counted in graph.rejected; everything else merges by NodeId.
+    counted in graph.rejected; everything else merges by NodeId.  Folding
+    each distinct Edge once, in the order of its first event, gives what
+    folding every event in order would.
     """
     g = WindowGraph(window_index)
-    for ev in events:
-        g.add_event(ev)
+    nodes, undirected = g.nodes, g.undirected
+    for edge, count in Counter(map(attrgetter("edge"), events)).items():
+        (src_kind, _, src), (dst_kind, _, dst) = edge.src, edge.dst
+        if not legal_op(edge.op, src_kind, dst_kind):
+            g.rejected += count
+            continue
+        g.edges[edge] = count
+        for kind, attrs, nid in (edge.src, edge.dst):
+            if nid not in nodes:
+                nodes[nid] = NodeRec(kind, attrs)
+                undirected[nid] = set()
+        nodes[src].out_degree += count
+        nodes[dst].in_degree += count
+        adj = undirected[src]
+        if dst not in adj:
+            adj.add(dst)
+            undirected[dst].add(src)
+            g.first_op[(src, dst) if src < dst else (dst, src)] = edge.op
     return g

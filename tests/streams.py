@@ -3,14 +3,20 @@
 import json
 
 from provstp.ingest import RawEvent
-from provstp.model import Entity, entity_uuid
+from provstp.model import Edge, Entity, entity_uuid
 
 
 def event(op, src_kind, src, dst_kind, dst, ts=0):
-    """A RawEvent between the Entities of these attrs, with their NodeIds
-    set as the parser sets them."""
-    return RawEvent(ts=ts, op=op, src=Entity(src_kind, src, entity_uuid(src_kind, src)),
-                    dst=Entity(dst_kind, dst, entity_uuid(dst_kind, dst)))
+    """A RawEvent with its own Edge between the Entities of these attrs,
+    with their NodeIds set as the parser sets them."""
+    return RawEvent(ts, Edge(op, Entity(src_kind, src, entity_uuid(src_kind, src)),
+                             Entity(dst_kind, dst, entity_uuid(dst_kind, dst))))
+
+
+def event_views(events):
+    """Each event as the values it holds, (ts, op, src, dst): Edges compare
+    by identity, so events from two parses compare through these."""
+    return [(ev.ts, ev.edge.op, ev.edge.src, ev.edge.dst) for ev in events]
 
 
 def write_chain_stream(path, windows, procs, private_files=2, window_ms=10_000):

@@ -187,6 +187,20 @@ def test_run_malformed_value_fails_cleanly(data_dir, model_dir, tmp_path, capsys
     assert "Traceback" not in err
 
 
+def test_run_number_past_the_digit_limit_fails_cleanly(data_dir, model_dir, tmp_path, capsys):
+    with open(data_dir / "quiet" / "events.jsonl", encoding="utf-8") as fh:
+        line = json.loads(fh.readline())
+    line["ts"] = "DIGITS"
+    stream = tmp_path / "events.jsonl"
+    stream.write_text(json.dumps(line).replace('"DIGITS"', "9" * 5001) + "\n")
+    rc = main(["run", "--input", str(stream), "--model-dir", str(model_dir),
+               "--out", str(tmp_path / "out"), "--store-dir", str(tmp_path / "store")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: line 1: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_run_torn_store_record_fails_cleanly(data_dir, model_dir, tmp_path, capsys):
     store = tmp_path / "store"
     (store / "hopsets").mkdir(parents=True)

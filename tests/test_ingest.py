@@ -17,6 +17,7 @@ from provstp.ingest import (
     read_events,
     window_stream,
 )
+from streams import event_views
 
 
 def _line(ts, op="write", pid=1, path="/tmp/a", host="h1"):
@@ -40,13 +41,13 @@ def test_parse_event_full_schema():
         '"dst":{"kind":"process","pid":2,"tid":2,"uid":0,"name":"sh","cmdline":"sh"}}'
     )
     ev = parse_event(line, 1)
-    assert ev.op == "fork" and ev.ts == 0 and ev.src.attrs.host == "h1"
-    assert ev.src.attrs.pid == 1 and ev.dst.attrs.name == "sh"
+    assert ev.edge.op == "fork" and ev.ts == 0 and ev.edge.src.attrs.host == "h1"
+    assert ev.edge.src.attrs.pid == 1 and ev.edge.dst.attrs.name == "sh"
 
 
 def test_parse_event_tid_defaults_to_pid():
     ev = parse_event(_line(5, pid=77))
-    assert ev.src.attrs.tid == 77
+    assert ev.edge.src.attrs.tid == 77
 
 
 def test_parse_event_missing_field_errors_with_line_number():
@@ -134,6 +135,7 @@ _stream_ts = st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(ts_list=_stream_ts)
 @example(ts_list=[40_000, 0, 35_000, 60_000, 10_000, 60_000, 40_000])  # window -1 and three drops
+@example(ts_list=[40_000, 45_000, 41_000, 45_000, 52_000, 45_000, 41_000])  # equal ts, one late
 def test_window_stream_accounts_for_every_event(ts_list):
     events = _events(ts_list)
     counters = {}
@@ -158,6 +160,10 @@ def test_window_stream_accounts_for_every_event(ts_list):
             assert fate[id(e)] is None
     assert {i: b.window_index for b in batches for i in map(id, b.events)} == \
         {i: w for i, w in fate.items() if w is not None}
+    # A batch holds its window's events in arrival order, stably sorted by ts.
+    for b in batches:
+        arrived = [e for e in events if fate[id(e)] == b.window_index]
+        assert list(map(id, b.events)) == list(map(id, sorted(arrived, key=lambda e: e.ts)))
 
 
 def test_batches_sorted_by_ts_within_window():
@@ -211,18 +217,26 @@ def test_parse_event_malformed_value_raises_parse_error(where, key, value):
     assert exc.value.lineno == 7
 
 
+@pytest.mark.parametrize("where,key", [(None, "ts"), ("src", "pid")])
+def test_parse_event_number_past_the_digit_limit_is_a_parse_error(where, key):
+    line = _malformed_line(where, key, "DIGITS").replace('"DIGITS"', "9" * 5001)
+    with pytest.raises(ParseError) as exc:
+        parse_event(line, 7)
+    assert exc.value.lineno == 7 and str(exc.value).startswith("line 7: invalid JSON: ")
+
+
 def test_parse_event_sets_node_ids():
     from provstp.model import entity_uuid
 
-    ev = parse_event(_line(0))
-    assert ev.src.id == entity_uuid(ev.src.kind, ev.src.attrs)
-    assert ev.dst.id == entity_uuid(ev.dst.kind, ev.dst.attrs)
+    edge = parse_event(_line(0)).edge
+    assert edge.src.id == entity_uuid(edge.src.kind, edge.src.attrs)
+    assert edge.dst.id == entity_uuid(edge.dst.kind, edge.dst.attrs)
 
 
 def test_read_events_interns_repeated_entities(tmp_path):
     p = tmp_path / "ev.jsonl"
     p.write_text(_line(0) + "\n" + _line(1) + "\n" + _line(2, path="/tmp/b") + "\n")
-    a, b, c = read_events(str(p))
+    a, b, c = (ev.edge for ev in read_events(str(p)))
     assert a.src is b.src and a.dst is b.dst and a.src is c.src
     assert c.dst is not a.dst and c.dst.id != a.dst.id
 
@@ -275,7 +289,7 @@ def test_stream_beyond_intern_bound_parses_identically(tmp_path, monkeypatch):
     p.write_text("\n".join(lines) + "\n")
     got = list(read_events(str(p)))
     want = [parse_event(line, n) for n, line in enumerate(lines, start=1)]
-    assert got == want
+    assert event_views(got) == event_views(want)
 
 
 def _decode_outcome(decode, line):
@@ -326,7 +340,7 @@ def test_read_events_invalid_utf8_line_is_a_parse_error(tmp_path):
     p.write_bytes((_line(0) + "\n").encode() + b'{"ts": 1, "host": "\\xff\xfe"}\n'
                   + (_line(2) + "\n").encode())
     got, err = _read_until_error(str(p))
-    assert got == _parse_lines([_line(0)])
+    assert event_views(got) == event_views(_parse_lines([_line(0)]))
     assert err.lineno == 2
     assert str(err).startswith("line 2: not UTF-8: ")
 
@@ -357,7 +371,7 @@ def test_parse_error_past_a_chunk_boundary_follows_every_earlier_event(tmp_path,
     p = tmp_path / "ev.jsonl"
     p.write_text("".join(good) + bad + "\n" + _line(0) + "\n")
     got, err = _read_until_error(str(p))
-    assert got == _parse_lines(good)
+    assert event_views(got) == event_views(_parse_lines(good))
     bad_lineno = per_read + 2
     with pytest.raises(ParseError) as want:
         parse_event(bad, bad_lineno)
@@ -381,7 +395,8 @@ def test_line_endings_and_numbers_follow_text_mode(tmp_path):
     assert len(text_lines) == 9 and text_lines[1].endswith("x\"}\n")
     got, err = _read_until_error(str(p))
     table = {}
-    assert got == [parse_event(text_lines[n - 1], n, table) for n in (1, 2, 3, 4, 7)]
+    assert event_views(got) == event_views(parse_event(text_lines[n - 1], n, table)
+                                           for n in (1, 2, 3, 4, 7))
     with pytest.raises(ParseError) as want:
         parse_event(text_lines[7], 8)
     assert (str(err), err.lineno) == (str(want.value), 8)
@@ -500,7 +515,7 @@ def _identity_pattern(events):
     """For each event, the index of the first event holding the same
     src and dst Entity objects."""
     first = {}
-    return [(first.setdefault(id(e.src), i), first.setdefault(id(e.dst), i))
+    return [(first.setdefault(id(e.edge.src), i), first.setdefault(id(e.edge.dst), i))
             for i, e in enumerate(events)]
 
 
@@ -538,7 +553,7 @@ def test_read_events_matches_in_process_parsing(tmp_path_factory, rows, bad):
     p.write_text("".join(line + "\n" for line in lines))
     got, rejected, exc = _read_outcome(str(p))
     want, want_rejected, want_exc = _parse_outcome(lines)
-    assert got == want
+    assert event_views(got) == event_views(want)
     assert _identity_pattern(got) == _identity_pattern(want)  # one entity, one object
     assert rejected == want_rejected
     if want_exc is None:
@@ -592,7 +607,7 @@ def test_decoder_faults_arrive_in_stream_order(tmp_path_factory, at, fault):
         else:
             mp.setattr(ingest, "parse_event", faulty_parse)
         got, _, exc = _read_outcome(str(p))
-    assert got == _parse_lines(lines[:at])
+    assert event_views(got) == event_views(_parse_lines(lines[:at]))
     if fault == "oserror":
         assert type(exc) is OSError and exc.errno == errno.EIO
     else:
@@ -614,7 +629,10 @@ def test_a_line_repeated_but_for_its_ts_is_parsed_once(tmp_path, monkeypatch):
     events = list(read_events(str(p)))
     assert [ev.ts for ev in events] == list(range(50))
     assert parsed == [1, 2]
-    assert events[0].dst is events[48].dst and events[1].dst is events[49].dst
+    # the lines of one prefix share its Edge, and with it its Entities
+    assert all(ev.edge is events[ev.ts % 2].edge for ev in events)
+    assert events[0].edge is not events[1].edge
+    assert events[0].edge.src is events[1].edge.src
 
 
 # Memo property.  A template fixes every field of a line but its ts; lines
@@ -710,7 +728,7 @@ def test_memo_hits_decode_as_a_cold_parse(tmp_path_factory, templates, picks, la
     p.write_bytes(b"".join(line + b"\n" for line in lines))
     (got, rejected, exc), sizes = _memo_outcome(str(p), warm=True)
     (want, want_rejected, want_exc), cold_sizes = _memo_outcome(str(p), warm=False)
-    assert got == want
+    assert event_views(got) == event_views(want)
     assert _identity_pattern(got) == _identity_pattern(want)
     assert rejected == want_rejected
     assert (type(exc), str(exc), getattr(exc, "lineno", None)) == \

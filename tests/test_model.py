@@ -3,13 +3,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import string
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from provstp.ingest import parse_event
+from provstp.ingest import RawEvent, parse_event
 from provstp.model import (
     ALL_OPS,
+    Edge,
+    Entity,
     FileAttrs,
     IpAttrs,
     ProcessAttrs,
@@ -78,14 +81,14 @@ def test_all_ops_cover_table_rows():
 
 def test_empty_graph():
     g = build_window_graph([])
-    assert len(g.nodes) == 0 and len(g.edges) == 0
+    assert len(g.nodes) == 0 and sum(g.edges.values()) == 0
 
 
 def test_single_fork_event():
     ev = event("fork", "process", _proc(1, "init"), "process", _proc(2, "sh"))
     g = build_window_graph([ev])
     assert len(g.nodes) == 2
-    assert len(g.edges) == 1
+    assert sum(g.edges.values()) == 1
     undirected_pairs = {frozenset((u, v)) for u, nbrs in g.undirected.items() for v in nbrs}
     assert len(undirected_pairs) == 1
 
@@ -96,7 +99,7 @@ def test_opposite_directed_edges_collapse_in_undirected_view():
     e1 = event("write", "process", p, "file", f)
     e2 = event("read", "file", f, "process", p)
     g = build_window_graph([e1, e2])
-    assert len(g.edges) == 2
+    assert sum(g.edges.values()) == 2
     pid = entity_uuid("process", p)
     fid = entity_uuid("file", f)
     assert g.undirected[pid] == {fid}
@@ -108,7 +111,7 @@ def test_illegal_op_rejected_and_counted():
     ok = event("write", "process", _proc(1, "a"), "file", FileAttrs(path="/x"))
     g = build_window_graph([bad, ok])
     assert g.rejected == 1
-    assert len(g.edges) == 1
+    assert sum(g.edges.values()) == 1
 
 
 def test_degree_sums_match_directed_edge_count():
@@ -121,7 +124,7 @@ def test_degree_sums_match_directed_edge_count():
         event("read", "file", f, "process", p1),
     ]
     g = build_window_graph(events)
-    assert sum(r.in_degree for r in g.nodes.values()) == len(g.edges) == 4
+    assert sum(r.in_degree for r in g.nodes.values()) == sum(g.edges.values()) == 4
     assert sum(r.out_degree for r in g.nodes.values()) == 4
 
 
@@ -130,7 +133,7 @@ def test_parallel_edges_kept_directed_but_single_undirected():
     f = FileAttrs(path="/var/log/app")
     events = [event("write", "process", p, "file", f, ts=i) for i in range(5)]
     g = build_window_graph(events)
-    assert len(g.edges) == 5
+    assert sum(g.edges.values()) == 5
     assert g.undirected[entity_uuid("process", p)] == {entity_uuid("file", f)}
 
 
@@ -142,11 +145,13 @@ def test_round_trip_from_jsonl_line():
     )
     ev = parse_event(line, 1)
     g = build_window_graph([ev])
-    assert entity_uuid("process", ev.dst.attrs) == "c118f5d49c6b9f7a29345b361eba1e87"  # md5("22sh")
+    # md5("22sh")
+    assert entity_uuid("process", ev.edge.dst.attrs) == "c118f5d49c6b9f7a29345b361eba1e87"
     assert len(g.nodes) == 2
 
 
-_PROCS = [_proc(1, "init"), _proc(2, "sh -c x", tid=3), _proc(2, "sh -c y"), _proc(4, "")]
+_PROCS = [_proc(1, "init"), _proc(2, "sh -c x", tid=3), _proc(2, "sh -c y"), _proc(4, ""),
+          dataclasses.replace(_proc(1, "init"), host="h2")]  # the NodeId of _PROCS[0]
 _FILES = [FileAttrs(path="/etc/passwd"), FileAttrs(path="/tmp/a")]
 _IPS = [IpAttrs(src_ip="10.0.0.1", src_port=5000, dst_ip="10.0.0.2", dst_port=80)]
 _ENTITIES = ([("process", a) for a in _PROCS] + [("file", a) for a in _FILES]
@@ -166,9 +171,57 @@ def _entity_doc(kind, attrs):
 
 
 def _graph_state(g):
-    nodes = {nid: (r.kind, r.attrs, r.in_degree, r.out_degree) for nid, r in g.nodes.items()}
-    edges = [(e.src, e.dst, e.op, e.ts) for e in g.edges]
-    return nodes, edges, g.undirected, g.first_op, g.rejected
+    """What a window graph holds: its nodes in order with their kinds, attrs
+    objects and degrees, its undirected view, first ops and rejected count,
+    and its events per (op, src, dst) NodeIds."""
+    nodes = [(nid, r.kind, id(r.attrs), r.in_degree, r.out_degree)
+             for nid, r in g.nodes.items()]
+    per_edge = Counter()
+    for e, count in g.edges.items():
+        per_edge[e.op, e.src.id, e.dst.id] += count
+    return nodes, g.undirected, g.first_op, g.rejected, per_edge
+
+
+def _reference_state(events):
+    """_graph_state of the graph that folding the events one at a time, in
+    order, gives."""
+    nodes, undirected, first_op, rejected, per_edge = {}, {}, {}, 0, Counter()
+    for ev in events:
+        e = ev.edge
+        (src_kind, src_attrs, src), (dst_kind, dst_attrs, dst) = e.src, e.dst
+        if not legal_op(e.op, src_kind, dst_kind):
+            rejected += 1
+            continue
+        per_edge[e.op, src, dst] += 1
+        for nid, kind, attrs in ((src, src_kind, src_attrs), (dst, dst_kind, dst_attrs)):
+            if nid not in nodes:
+                nodes[nid] = [nid, kind, id(attrs), 0, 0]
+                undirected[nid] = set()
+        nodes[src][4] += 1
+        nodes[dst][3] += 1
+        if dst not in undirected[src]:
+            undirected[src].add(dst)
+            undirected[dst].add(src)
+            first_op[(src, dst) if src < dst else (dst, src)] = e.op
+    return [tuple(n) for n in nodes.values()], undirected, first_op, rejected, per_edge
+
+
+@settings(max_examples=150, deadline=None)
+@given(_event_rows)
+def test_edge_fold_matches_a_per_event_fold(rows):
+    entities = [Entity(kind, attrs, entity_uuid(kind, attrs)) for kind, attrs in _ENTITIES]
+    interned = {}  # one Edge per (op, src, dst), as memo hits share them
+    shared = [RawEvent(ts, interned.setdefault((op, s, d), Edge(op, entities[s], entities[d])))
+              for ts, (op, s, d) in enumerate(rows)]
+    fresh = [RawEvent(ts, Edge(op, entities[s], entities[d]))
+             for ts, (op, s, d) in enumerate(rows)]
+    want = _reference_state(fresh)
+    g = build_window_graph(shared)
+    assert _graph_state(g) == want
+    assert _graph_state(build_window_graph(fresh)) == want
+    legal = [(op, s, d) for op, s, d in rows if legal_op(op, _ENTITIES[s][0], _ENTITIES[d][0])]
+    assert sum(g.edges.values()) == len(legal) == len(rows) - g.rejected
+    assert len(g.edges) == len(set(legal))  # one entry per distinct legal Edge
 
 
 @settings(max_examples=80, deadline=None)
@@ -179,10 +232,11 @@ def test_interned_parse_builds_same_graph_as_plain_events(rows):
              for ts, (op, s, d) in enumerate(rows)]
     table = {}
     parsed = [parse_event(line, n, table) for n, line in enumerate(lines, start=1)]
-    assert all(ev.src.id == entity_uuid(ev.src.kind, ev.src.attrs)
-               and ev.dst.id == entity_uuid(ev.dst.kind, ev.dst.attrs) for ev in parsed)
-    plain = [event(ev.op, ev.src.kind, ev.src.attrs, ev.dst.kind, ev.dst.attrs, ev.ts)
-             for ev in parsed]
+    assert all(e.src.id == entity_uuid(e.src.kind, e.src.attrs)
+               and e.dst.id == entity_uuid(e.dst.kind, e.dst.attrs)
+               for e in (ev.edge for ev in parsed))
+    plain = [event(ev.edge.op, ev.edge.src.kind, ev.edge.src.attrs, ev.edge.dst.kind,
+                   ev.edge.dst.attrs, ev.ts) for ev in parsed]
     assert _graph_state(build_window_graph(parsed)) == _graph_state(build_window_graph(plain))
 
 
@@ -193,7 +247,9 @@ def test_first_op_is_first_event_on_each_pair(rows):
               for ts, (op, s, d) in enumerate(rows)]
     g = build_window_graph(events)
     ref = {}
-    for e in g.edges:
-        ref.setdefault((e.src, e.dst) if e.src < e.dst else (e.dst, e.src), e.op)
+    for ev in events:  # the op of each pair's first legal event
+        op, (src_kind, _, src), (dst_kind, _, dst) = ev.edge.op, ev.edge.src, ev.edge.dst
+        if legal_op(op, src_kind, dst_kind):
+            ref.setdefault((src, dst) if src < dst else (dst, src), op)
     assert g.first_op == ref
     assert {tuple(sorted((u, v))) for u, nbrs in g.undirected.items() for v in nbrs} == set(ref)
