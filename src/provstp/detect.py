@@ -13,12 +13,12 @@ import json
 import math
 import os
 import statistics
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Set
 
-from scipy.special import stdtrit
-
+from . import grubbs_table
 from .anomaly import ModelBundle, score_processes
 from .cache import CacheState, evict, insert_or_merge, lookup
 from .ingest import WindowBatch
@@ -32,11 +32,51 @@ MIN_GRUBBS_POPULATION = 3
 
 @lru_cache(maxsize=4096)
 def grubbs_critical(n: int, alpha_g: float) -> float:
-    """One-sided max-outlier critical value at significance alpha_g."""
+    """One-sided max-outlier critical value at significance alpha_g.
+
+    At alpha 0.05 and n <= 1 024 it comes from `grubbs_table`; any other
+    value imports scipy for its Student-t quantile."""
     if n < 3:
         raise ValueError("the test needs at least 3 samples, got %d" % n)
-    tq = float(stdtrit(n - 2, 1.0 - alpha_g / n))  # Student-t quantile
-    return ((n - 1) / math.sqrt(n)) * math.sqrt(tq * tq / (n - 2 + tq * tq))
+    if alpha_g == grubbs_table.ALPHA and n <= grubbs_table.N_MAX:
+        return grubbs_table.critical(n)
+    return grubbs_table.formula(n, alpha_g)
+
+
+def _sample_stdev(values: List[float]) -> float:
+    """`statistics.stdev(values)`, bit for bit, for two or more values.
+
+    Both are the correctly rounded square root of the exact sample
+    variance. Here that variance is (n*Sxx - Sx**2) / (n*(n-1)) in
+    integers over the values' common power-of-two denominator, and the
+    root is rounded to odd with `math.isqrt` before the one rounding to
+    float, as `statistics` does. A non-finite value takes the stdlib path.
+    """
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except (OverflowError, ValueError):
+        return statistics.stdev(values)
+    scale = max(d for _, d in ratios)
+    xs = [p * (scale // d) for p, d in ratios]
+    n = len(xs)
+    sx = sum(xs)
+    num = n * sum(x * x for x in xs) - sx * sx
+    den = n * (n - 1) * scale * scale
+    # Scale num/den by 4**-q to about 2*53+3 bits, as statistics does, so
+    # its integer root keeps enough bits past a double's 53 for rounding to
+    # odd and then to float to round the exact root correctly.
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    root |= root * root * den != num  # round to odd
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
+if sys.version_info < (3, 11):  # stdev was not correctly rounded before 3.11
+    _sample_stdev = statistics.stdev  # noqa: F811
 
 
 def grubbs_outliers(values: List[float], alpha_g: float = DEFAULT_GRUBBS_ALPHA) -> List[int]:
@@ -47,7 +87,7 @@ def grubbs_outliers(values: List[float], alpha_g: float = DEFAULT_GRUBBS_ALPHA) 
     flagged: List[int] = []
     while len(vals) >= 3:
         mean = statistics.fmean(vals)
-        std = statistics.stdev(vals)
+        std = _sample_stdev(vals)
         if std <= 0.0:
             break
         i = max(range(len(vals)), key=lambda j: vals[j])
@@ -64,7 +104,7 @@ def grubbs_outliers(values: List[float], alpha_g: float = DEFAULT_GRUBBS_ALPHA) 
 def _grubbs_statistic(values: List[float], value: float) -> float:
     if len(values) < 2:
         return 0.0
-    std = statistics.stdev(values)
+    std = _sample_stdev(values)
     if std <= 0.0:
         return 0.0
     return (value - statistics.fmean(values)) / std

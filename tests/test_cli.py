@@ -452,6 +452,49 @@ def _run_cli(args, **kwargs):
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
 
 
+def test_default_cli_paths_do_not_import_scipy(tmp_path):
+    """Grubbs' critical values at the default alpha come from a table, so
+    startup, --help, train and a default run never import scipy; an
+    off-table alpha imports it for the Student-t quantile."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "import provstp.cli as cli\n"
+        "from provstp import detect\n"
+        "from provstp.evalgen import GenConfig, write_scenario\n"
+        "assert not scipy_modules(), ('import', scipy_modules())\n"
+        "try:\n"
+        "    cli.main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "assert not scipy_modules(), ('--help', scipy_modules())\n"
+        "root = sys.argv[1]\n"
+        "train, _ = write_scenario('benign-only', 7, root + '/train', GenConfig(duration=60.0))\n"
+        "attack, _ = write_scenario('apt-webshell', 41, root + '/attack', GenConfig(duration=300.0))\n"
+        "assert cli.main(['train', '--input', train, '--model-dir', root + '/m']) == 0\n"
+        "assert not scipy_modules(), ('train', scipy_modules())\n"
+        "tested = []\n"
+        "real = detect.grubbs_outliers\n"
+        "detect.grubbs_outliers = lambda v, a: tested.append(len(v)) or real(v, a)\n"
+        "assert cli.main(['run', '--input', attack, '--model-dir', root + '/m',\n"
+        "                 '--out', root + '/out']) == 0\n"
+        "assert tested, 'the Grubbs test never ran'\n"
+        "assert not scipy_modules(), ('run', scipy_modules())\n"
+        "assert cli.main(['run', '--input', attack, '--model-dir', root + '/m',\n"
+        "                 '--out', root + '/out-01', '--grubbs-alpha', '0.01']) == 0\n"
+        "assert 'scipy.special' in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_run_reads_stdin_from_a_pipe(data_dir, model_dir, tmp_path):
     import subprocess
 

@@ -1,9 +1,12 @@
 import json
 import math
 import re
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from provstp import detect
 from provstp.cache import CacheState, EvictionStore
@@ -72,6 +75,42 @@ def test_grubbs_false_flag_rate():
     rng = np.random.RandomState(2024)
     hits = sum(1 for _ in range(300) if grubbs_outliers(list(rng.randn(50)), 0.05))
     assert hits / 300 <= 0.09
+
+
+# floats from subnormals to 1e300, and lists that repeat some of their values
+GRUBBS_FLOATS = st.one_of(st.floats(min_value=-1e300, max_value=1e300),
+                          st.floats(min_value=-1e-300, max_value=1e-300))
+
+
+@st.composite
+def stdev_samples(draw):
+    xs = draw(st.lists(GRUBBS_FLOATS, min_size=1, max_size=60))
+    xs += draw(st.lists(st.sampled_from(xs), min_size=max(0, 2 - len(xs)),
+                        max_size=60 - len(xs)))
+    return draw(st.permutations(xs))
+
+
+@given(stdev_samples())
+@example([4.0, 4.0])
+@example([5e-324, 5e-324, 5e-324])
+@example([5e-324, -5e-324, 0.0])
+@example([1e300, -1e300, 1e300, 1e-300])
+@example([1.0] * 9 + [100.0])
+def test_sample_stdev_is_statistics_stdev_bit_for_bit(xs):
+    assert 2 <= len(xs) <= 60
+    assert detect._sample_stdev(xs).hex() == statistics.stdev(xs).hex()
+
+
+def test_sample_stdev_non_finite_takes_the_stdlib_path():
+    def outcome(stdev, xs):
+        try:
+            return repr(stdev(xs))
+        except Exception as exc:
+            return type(exc)
+
+    for bad in (math.inf, -math.inf, math.nan):
+        xs = [1.0, bad, 2.0]
+        assert outcome(detect._sample_stdev, xs) == outcome(statistics.stdev, xs)
 
 
 def proc(pid, name, cmdline=None):
