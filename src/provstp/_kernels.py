@@ -48,8 +48,13 @@ def _xorshift_states(state, count):
     return out, state
 
 
-def _plan_block(pairs, comp_idx, comp_off, neg_table, n_neg, state, n_in):
+def _plan_block(pairs, comp_idx, comp_off, neg_starts, neg_slots, n_neg, state, n_in):
     """Everything a block of pairs needs that does not depend on the weights.
+
+    A draw picks slot draw % neg_slots of the unigram table whose word k
+    owns the slots from neg_starts[k] up to the next word's start; the
+    word is the last one that starts at or before the slot, so words that
+    own no slot are never picked.
 
     Returns (idx, ends, ks, distinct, state): per pair, in one flat array,
     the rows of the stacked weight matrix it touches (its composition
@@ -65,7 +70,8 @@ def _plan_block(pairs, comp_idx, comp_off, neg_table, n_neg, state, n_in):
     full = np.concatenate((
         comp_idx[np.minimum(lo[:, None] + span, len(comp_idx) - 1)],
         pairs[:, 1:] + n_in,
-        neg_table[draws.reshape(n, n_neg) % len(neg_table)] + n_in), axis=1)
+        np.searchsorted(neg_starts, draws.reshape(n, n_neg) % neg_slots, "right")
+        + (n_in - 1)), axis=1)
     targets = full[:, span.size:]
     keep = np.concatenate((span < ks[:, None], targets != targets[:, :1]), axis=1)
     keep[:, span.size] = True  # o itself
@@ -78,7 +84,8 @@ def _plan_block(pairs, comp_idx, comp_off, neg_table, n_neg, state, n_in):
     return idx, ends, ks, distinct, state
 
 
-def sgns_epoch(pairs, comp_idx, comp_off, w, n_in, neg_table, n_neg, lr, state):
+def sgns_epoch(pairs, comp_idx, comp_off, w, n_in, neg_starts, neg_slots, n_neg, lr,
+               state):
     """One epoch of skip-gram negative sampling, sequential over pairs.
 
     w holds the input rows w_in (its first n_in rows: words, then subword
@@ -86,8 +93,10 @@ def sgns_epoch(pairs, comp_idx, comp_off, w, n_in, neg_table, n_neg, lr, state):
     updated in place.  The input representation of a center word c is
     the mean h of its composition rows (word row + subword bucket rows)
     in w_in.  Its targets are the context word o (label 1) and the n_neg
-    draws of an xorshift32 stream over neg_table that are not o (label
-    0).  Each pair takes g = lr * (label - sigmoid(clip(target rows @ h)))
+    draws of an xorshift32 stream that are not o (label 0).  A draw picks
+    slot draw % neg_slots of the unigram table that neg_starts, each
+    word's first slot in ascending order, describes (see _plan_block).
+    Each pair takes g = lr * (label - sigmoid(clip(target rows @ h)))
     and adds g * h to the target rows and (g @ target rows) / len(rows) to
     the composition rows, both from the rows as they were before the
     pair.  Returns the stream's state.
@@ -105,7 +114,8 @@ def sgns_epoch(pairs, comp_idx, comp_off, w, n_in, neg_table, n_neg, lr, state):
     add_reduce, outer, exp = np.add.reduce, np.multiply.outer, math.exp
     for b in range(0, pairs.shape[0], _PLAN_BLOCK):
         idx, ends, ks, distinct, state = _plan_block(
-            pairs[b:b + _PLAN_BLOCK], comp_idx, comp_off, neg_table, n_neg, state, n_in)
+            pairs[b:b + _PLAN_BLOCK], comp_idx, comp_off, neg_starts, neg_slots, n_neg,
+            state, n_in)
         a = 0
         for end, k, ok in zip(ends.tolist(), ks.tolist(), distinct.tolist()):
             ix = idx[a:end]

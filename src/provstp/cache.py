@@ -78,7 +78,7 @@ class EvictionStore:
     def store(self, h: Hopset) -> str:
         hid = hopset_id(h)
         with open(self.tmp_path, "w", encoding="utf-8") as fh:
-            json.dump(hopset_to_doc(h), fh, sort_keys=True, indent=2)
+            fh.write(json.dumps(hopset_to_doc(h), sort_keys=True, indent=2))
         os.replace(self.tmp_path, self._record_path(hid))
         return hid
 
@@ -91,9 +91,10 @@ class EvictionStore:
             raise IOError("corrupted store record %s: %s" % (path, exc)) from exc
 
     def remove(self, hid: str):
-        path = self._record_path(hid)
-        if os.path.exists(path):
-            os.remove(path)
+        try:
+            os.remove(self._record_path(hid))
+        except FileNotFoundError:
+            pass
 
 
 @dataclass

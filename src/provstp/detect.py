@@ -173,8 +173,12 @@ def steiner_window_hopsets(terminals: List[str], g: WindowGraph,
 
 
 def _entity_doc(rec) -> dict:
+    """The kind and attrs fields of a node.  Attrs are slotted dataclasses
+    of str and int fields, so the values need no deep copy."""
+    attrs = rec.attrs
     doc = {"kind": rec.kind}
-    doc.update(dataclasses.asdict(rec.attrs))
+    for name in attrs.__slots__:
+        doc[name] = getattr(attrs, name)
     return doc
 
 

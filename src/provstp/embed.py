@@ -128,7 +128,11 @@ class EmbeddingModel:
         return v
 
     def save(self, path: str):
-        doc = {
+        """Write json.dumps(doc, sort_keys=True) of the model's document one
+        row at a time, so that neither the document nor its string is ever
+        whole in memory.  The header's keys sort before "subword_buckets",
+        which sorts before "words"; bucket keys sort as strings."""
+        head = json.dumps({
             "dimension": self.dimension,
             "seed": self.config.seed,
             "config": {
@@ -138,11 +142,19 @@ class EmbeddingModel:
                 "negatives": self.config.negatives,
                 "buckets": self.config.buckets,
             },
-            "words": {t: v.tolist() for t, v in self.words.items()},
-            "subword_buckets": {str(i): v.tolist() for i, v in self.buckets.items()},
-        }
+        }, sort_keys=True)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, sort_keys=True))
+            fh.write(head[:-1])
+            for name, rows, keys in (
+                    ("subword_buckets", self.buckets, sorted(self.buckets, key=str)),
+                    ("words", self.words, sorted(self.words))):
+                fh.write(", %s: {" % json.dumps(name))
+                sep = ""
+                for k in keys:
+                    fh.write("%s%s: %s" % (sep, json.dumps(str(k)), json.dumps(rows[k].tolist())))
+                    sep = ", "
+                fh.write("}")
+            fh.write("}")
 
     @classmethod
     def load(cls, path: str) -> "EmbeddingModel":
@@ -154,10 +166,15 @@ class EmbeddingModel:
         return cls(cfg, words, buckets)
 
 
-def negative_table(probs: np.ndarray, size: int = NEG_TABLE_SIZE) -> np.ndarray:
-    """Unigram table for negative sampling: slot a holds the current word,
-    which moves on by one word after each slot a where (a + 1) / size
-    exceeds the running sum of probabilities up to that word.
+def negative_starts(probs: np.ndarray, size: int = NEG_TABLE_SIZE) -> np.ndarray:
+    """First slot of each word in the unigram table for negative sampling.
+
+    The table has size slots: slot a holds the current word, which moves
+    on by one word after each slot a where (a + 1) / size exceeds the
+    running sum of probabilities up to that word.  A word owns the slots
+    from its start to the next word's; words past the last slot own none
+    and start at size.  The table itself is never built: slot a's word is
+    the last word whose start is at or before a.
 
     size must be a power of two, so that (a + 1) / size and cum * size
     are exact and the slot counts below need no array of slot bounds.
@@ -171,8 +188,7 @@ def negative_table(probs: np.ndarray, size: int = NEG_TABLE_SIZE) -> np.ndarray:
     passed = np.minimum(np.floor(cum[:-1] * size), size).astype(np.int64) + 1
     ks = np.arange(nv)
     lag = np.maximum.accumulate(np.concatenate(([0], passed - ks[1:])))
-    starts = np.minimum(lag + ks, size)
-    return np.repeat(ks, np.diff(np.append(starts, size)))
+    return np.minimum(lag + ks, size)
 
 
 def train_embedding(corpus: Sequence[Sentence], config: EmbedConfig = None) -> EmbeddingModel:
@@ -222,7 +238,7 @@ def train_embedding(corpus: Sequence[Sentence], config: EmbedConfig = None) -> E
 
     freq = np.array([counts[t] for t in vocab], dtype=np.float64) ** 0.75
     probs = freq / freq.sum()
-    neg_table = negative_table(probs)
+    starts = negative_starts(probs)
 
     rs = np.random.RandomState(cfg.seed)
     n_in = nv + len(bucket_dense)
@@ -237,7 +253,7 @@ def train_embedding(corpus: Sequence[Sentence], config: EmbedConfig = None) -> E
             order = rs.permutation(len(pairs))
             state = _kernels.sgns_epoch(
                 pairs[order], comp_idx, comp_off, w, n_in,
-                neg_table, cfg.negatives, cfg.lr, state)
+                starts, NEG_TABLE_SIZE, cfg.negatives, cfg.lr, state)
 
     words = {t: w[i].copy() for t, i in tok_idx.items()}
     buckets = {b: w[nv + di].copy() for b, di in bucket_dense.items()}

@@ -187,6 +187,21 @@ def test_evict_then_lookup_restores_equal(tmp_path):
     audit(c)
 
 
+def test_store_record_bytes_and_removing_a_missing_record(tmp_path):
+    store = EvictionStore(str(tmp_path / "store"))
+    h = make_hopset("t0", {"f1": 0.1 + 0.2, "f2": 1e-310},
+                    attrs={"f1": {"kind": "File", "path": "/tmp/café"}})
+    hid = store.store(h)
+    want = tmp_path / "json_dump.json"
+    with open(want, "w", encoding="utf-8") as fh:
+        json.dump(hopset_to_doc(h), fh, sort_keys=True, indent=2)
+    with open(os.path.join(store.hopset_dir, hid + ".json"), "rb") as fh:
+        assert fh.read() == want.read_bytes()
+    store.remove(hid)
+    store.remove(hid)  # already gone: nothing to do
+    assert store.ids() == []
+
+
 def test_lookup_absent(tmp_path):
     c = fresh_cache(tmp_path)
     assert lookup(c, "nobody") == (None, "absent")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from provstp.embed import (
+    NEG_TABLE_SIZE,
     EmbedConfig,
     EmbeddingModel,
     IdfTable,
     embed_sentence,
     filter_gibberish,
     idf_weight,
-    negative_table,
+    negative_starts,
     process_vector,
     sentenceize,
     train_embedding,
@@ -165,8 +168,6 @@ def test_model_round_trip(tmp_path):
 
 def _save_by_streaming_scalars(m, path):
     """The earlier writer: numpy scalars streamed through json.dump."""
-    import json
-
     doc = {
         "dimension": m.dimension,
         "seed": m.config.seed,
@@ -189,6 +190,35 @@ def test_save_writes_the_bytes_of_the_scalar_writer(tmp_path):
     m.save(str(new))
     _save_by_streaming_scalars(m, str(old))
     assert new.read_bytes() == old.read_bytes()
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_embedding_builds_no_negative_table():
+    _toy_model()  # caches made on first use stay out of the peak
+    # 8 * NEG_TABLE_SIZE bytes is what a negative table of int64 slots takes
+    assert _traced_peak(_toy_model) < 8 * NEG_TABLE_SIZE // 16
+
+
+def test_save_holds_no_whole_document(tmp_path):
+    rng = np.random.default_rng(3)
+    cfg = EmbedConfig(dimension=64)
+    m = EmbeddingModel(cfg, {"w%d" % i: rng.normal(size=64) for i in range(50)},
+                       {int(b): rng.normal(size=64)
+                        for b in rng.choice(cfg.buckets, 2000, replace=False)})
+    path = str(tmp_path / "emb.json")
+    m.save(path)
+    row = len(json.dumps(m.words["w0"].tolist()))
+    # a few rows, and sorting the 2 050 keys: their list and each bucket's
+    # decimal string; the whole document is 2 050 rows
+    assert _traced_peak(m.save, path) < 8 * row + 100 * (len(m.words) + len(m.buckets))
 
 
 def test_idf_table_round_trip(tmp_path):
@@ -217,6 +247,13 @@ def test_process_vector_weighted_sum():
     e2 = np.array([0.0, 1.0])
     pv = process_vector(e2, [(e1, 2.0), (e1, 4.0)], [])
     assert np.allclose(pv, 3.0 * e2 + 6.0 * e1)
+
+
+def negative_table(probs, size=NEG_TABLE_SIZE):
+    """The unigram table that negative_starts describes, one word per slot:
+    the oracle for drawing negatives from word starts."""
+    starts = negative_starts(probs, size)
+    return np.repeat(np.arange(len(starts)), np.diff(np.append(starts, size)))
 
 
 def _negative_table_loop(probs, size):
@@ -253,8 +290,9 @@ def test_negative_table_matches_loop(case):
     probs = freq / freq.sum()
     sizes = (1 << 20, 32) if case in (0, 1, 8) else (1 << 12, 32)
     for size in sizes:
+        starts = negative_starts(probs, size)
+        assert starts.dtype == np.int64 and starts.shape == probs.shape
         table = negative_table(probs, size)
-        assert table.dtype == np.int64
         assert np.array_equal(table, _negative_table_loop(probs, size))
     with pytest.raises(ValueError):
-        negative_table(probs, 48)
+        negative_starts(probs, 48)

@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from provstp import _kernels
+from provstp import _kernels, embed
 from test_anomaly import oracle_dbscan
+from test_embed import SMALL, negative_table
 
 _M32 = 0xFFFFFFFF
 
@@ -47,10 +49,14 @@ def sgns_epoch_pairwise(pairs, comp_idx, comp_off, w_in, w_out, neg_table, n_neg
 
 
 def sgns_epoch_stacked(pairs, comp_idx, comp_off, w_in, w_out, neg_table, n_neg, lr, state):
-    """_kernels.sgns_epoch called with the references' arguments."""
+    """_kernels.sgns_epoch called with the references' arguments.  The
+    table is a negative_table, so each word's first slot is where a
+    binary search for the word lands in it."""
     n_in = w_in.shape[0]
     w = np.concatenate((w_in, w_out))
-    state = _kernels.sgns_epoch(pairs, comp_idx, comp_off, w, n_in, neg_table, n_neg, lr, state)
+    starts = np.searchsorted(neg_table, np.arange(w_out.shape[0]))
+    state = _kernels.sgns_epoch(pairs, comp_idx, comp_off, w, n_in, starts, len(neg_table),
+                                n_neg, lr, state)
     w_in[...] = w[:n_in]
     w_out[...] = w[n_in:]
     return state
@@ -122,6 +128,12 @@ def sgns_epoch_loop(pairs, comp_idx, comp_off, w_in, w_out, neg_table, n_neg, lr
     return state
 
 
+def _random_table(rs, nv, size):
+    """The negative table of random word probabilities."""
+    probs = rs.rand(nv)
+    return negative_table(probs / probs.sum(), size)
+
+
 def _sgns_inputs(seed=3, n_pairs=400, nv=6, d=8):
     rs = np.random.RandomState(seed)
     pairs = rs.randint(0, nv, size=(n_pairs, 2)).astype(np.int64)
@@ -133,8 +145,7 @@ def _sgns_inputs(seed=3, n_pairs=400, nv=6, d=8):
         comp_idx[2 * i + 1] = nv + (i % 3)
     w_in = (rs.rand(nv + 3, d) - 0.5) / d
     w_out = np.zeros((nv, d))
-    neg_table = rs.randint(0, nv, size=4096).astype(np.int64)
-    return pairs, comp_idx, comp_off, w_in, w_out, neg_table
+    return pairs, comp_idx, comp_off, w_in, w_out, _random_table(rs, nv, 4096)
 
 
 def _run(fn, seed=3):
@@ -154,7 +165,8 @@ def test_sgns_numpy_matches_loop_reference():
 def _colliding_inputs(seed, n_pairs, nv=7, d=16, table=64):
     """Tokens of one to four composition rows drawn from a few buckets,
     so that some repeat a row (two n-grams in one bucket), and a small
-    negative table over few words, so that negatives repeat and hit o."""
+    negative table over few words, so that negatives repeat and hit o.
+    A table of fewer slots than words leaves the last words none."""
     rs = np.random.RandomState(seed)
     n_buckets = 3
     comps = [[i] + list(nv + rs.randint(0, n_buckets, size=rs.randint(0, 4)))
@@ -164,8 +176,17 @@ def _colliding_inputs(seed, n_pairs, nv=7, d=16, table=64):
     pairs = rs.randint(0, nv, size=(n_pairs, 2)).astype(np.int64)
     w_in = (rs.rand(nv + n_buckets, d) - 0.5) / d
     w_out = (rs.rand(nv, d) - 0.5) * 4.0  # large enough that some dots clip at +-30
-    neg_table = rs.randint(0, nv, size=table).astype(np.int64)
-    return pairs, comp_idx, comp_off, w_in, w_out, neg_table
+    return pairs, comp_idx, comp_off, w_in, w_out, _random_table(rs, nv, table)
+
+
+def _check_against_pairwise(args, seed, n_neg):
+    ref = [a.copy() for a in args]
+    lr, state = 0.05, 2463534242 + seed
+    s_ref = sgns_epoch_pairwise(*ref, n_neg, lr, state)
+    s_new = sgns_epoch_stacked(*args, n_neg, lr, state)
+    assert s_new == s_ref
+    assert np.array_equal(args[3], ref[3])
+    assert np.array_equal(args[4], ref[4])
 
 
 @pytest.mark.parametrize("seed,n_pairs,n_neg", [
@@ -177,22 +198,47 @@ def _colliding_inputs(seed, n_pairs, nv=7, d=16, table=64):
     (5, 600, 9),
 ])
 def test_sgns_epoch_bit_identical_to_pairwise(seed, n_pairs, n_neg):
-    args = _colliding_inputs(seed, n_pairs)
-    ref = [a.copy() for a in args]
-    lr, state = 0.05, 2463534242 + seed
-    s_ref = sgns_epoch_pairwise(*ref, n_neg, lr, state)
-    s_new = sgns_epoch_stacked(*args, n_neg, lr, state)
-    assert s_new == s_ref
-    assert np.array_equal(args[3], ref[3])
-    assert np.array_equal(args[4], ref[4])
+    _check_against_pairwise(_colliding_inputs(seed, n_pairs), seed, n_neg)
+
+
+def test_sgns_epoch_never_draws_words_without_slots():
+    args = _colliding_inputs(6, 300, table=4)
+    assert sorted(set(args[-1].tolist())) == [0, 1, 2, 3]  # of 7 words
+    _check_against_pairwise(args, 6, 5)
+
+
+def test_train_embedding_matches_the_pairwise_reference(monkeypatch):
+    """Training with the kernel, which finds each negative's word among
+    the word starts, gives the weights that the pairwise reference gives
+    reading the whole negative table."""
+    corpus = [embed.sentenceize(s) for s in (
+        "/usr/bin/python3 -m http.server 8080", "cat /etc/passwd /etc/shadow",
+        "curl -X POST http://10.0.0.1/upload", "sshd -D", "/var/log/auth.log")] * 20
+    want = embed.train_embedding(corpus, SMALL)
+    counts = Counter(t for s in corpus for t in embed.filter_gibberish(s))
+    freq = np.array([counts[t] for t in sorted(counts)], dtype=np.float64) ** 0.75
+    table = negative_table(freq / freq.sum())
+
+    def reference(pairs, comp_idx, comp_off, w, n_in, neg_starts, neg_slots, n_neg, lr, state):
+        assert neg_slots == len(table)
+        return sgns_epoch_pairwise(pairs, comp_idx, comp_off, w[:n_in], w[n_in:], table,
+                                   n_neg, lr, state)
+
+    monkeypatch.setattr(_kernels, "sgns_epoch", reference)
+    got = embed.train_embedding(corpus, SMALL)
+    assert got.words.keys() == want.words.keys() and got.buckets.keys() == want.buckets.keys()
+    for rows, ref in ((got.words, want.words), (got.buckets, want.buckets)):
+        for k, v in rows.items():
+            assert np.array_equal(v, ref[k]), k
 
 
 def test_colliding_inputs_reach_every_case():
     """The inputs above repeat composition rows, repeat negatives and
     draw o as a negative, so both update paths of the kernel run."""
-    pairs, comp_idx, comp_off, w_in, _, neg_table = _colliding_inputs(0, 300)
+    pairs, comp_idx, comp_off, w_in, w_out, neg_table = _colliding_inputs(0, 300)
+    word_starts = np.searchsorted(neg_table, np.arange(w_out.shape[0]))
     idx, ends, ks, distinct, _ = _kernels._plan_block(
-        pairs, comp_idx, comp_off, neg_table, 5, 2463534242, w_in.shape[0])
+        pairs, comp_idx, comp_off, word_starts, len(neg_table), 5, 2463534242, w_in.shape[0])
     assert distinct.any() and not distinct.all()
     starts = np.concatenate(([0], ends[:-1]))
     rows_repeat = targets_repeat = o_drawn = False
