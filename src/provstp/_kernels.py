@@ -152,6 +152,8 @@ def dbscan_labels(X, eps, min_pts):
     point joins the earliest-formed cluster owning a core neighbor.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.size == 0:
+        return np.zeros(0, np.int64)
     eps2 = float(eps) * float(eps)
     n = X.shape[0]
     xx = (X * X).sum(axis=1)

@@ -158,14 +158,6 @@ def reconstruction_errors(m: VaeModel, x: np.ndarray) -> np.ndarray:
     return np.mean((x - xh) ** 2, axis=1)
 
 
-def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
-    """Euclidean DBSCAN labels; noise = -1."""
-    x = np.asarray(points, dtype=np.float64)
-    if x.size == 0:
-        return np.zeros(0, np.int64)
-    return _kernels.dbscan_labels(x, eps, min_pts)
-
-
 @dataclass
 class StabilityTable:
     sv: Dict[str, int] = field(default_factory=dict)
@@ -192,7 +184,7 @@ def build_stability_table(history: Dict[str, List[np.ndarray]],
     """SV(name) = max(1, clusters + noise points) over the name's vectors."""
     table = StabilityTable(eps=eps, min_pts=min_pts)
     for name in sorted(history):
-        labels = dbscan(np.asarray(history[name]), eps, min_pts)
+        labels = _kernels.dbscan_labels(np.asarray(history[name]), eps, min_pts)
         n_noise = int(np.sum(labels == -1))
         n_clusters = len(set(labels.tolist()) - {-1})
         table.sv[name] = max(1, n_clusters + n_noise)

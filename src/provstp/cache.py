@@ -4,6 +4,10 @@ Resident hopsets age by one per window; energy epsilon^age * has decides
 who gets evicted to disk when the member budget is exceeded.  Evicted
 hopsets come back through lookup() so long-running campaigns can be
 stitched together across large time gaps.
+
+`hopset_to_doc` is the one JSON form of a hopset.  A store record is that
+document plus the hopset's age and last window; an alert (see `detect`)
+is it plus the alert's id, window index and Grubbs statistic.
 """
 
 from __future__ import annotations
@@ -24,36 +28,35 @@ def energy(h: Hopset, epsilon: float) -> float:
 
 
 def hopset_to_doc(h: Hopset) -> dict:
+    """{terminals, members: {n: {as, hops, iv, attrs}}, edges: [[u, v, op]],
+    has}, sorted, with {} for unknown attrs and "" for an unknown op."""
     return {
         "terminals": sorted(h.terminals),
-        "members": {n: {"as": rec.as_score, "hops": rec.hops, "iv": rec.iv}
+        "members": {n: {"as": rec.as_score, "hops": rec.hops, "iv": rec.iv,
+                        "attrs": h.attrs.get(n, {})}
                     for n, rec in sorted(h.members.items())},
-        "edges": sorted(list(e) for e in h.edges),
+        "edges": [[u, v, op] for (u, v), op in sorted(h.edges.items())],
         "has": h.has,
-        "age": h.age,
-        "last_window": h.last_window,
-        "attrs": {n: h.attrs[n] for n in sorted(h.attrs)},
-        "edge_ops": {"%s|%s" % e: op for e, op in sorted(h.edge_ops.items())},
     }
 
 
 def hopset_from_doc(doc: dict) -> Hopset:
-    members = {n: MemberRec(rec["as"], rec["hops"], rec["iv"])
-               for n, rec in doc["members"].items()}
-    edges = {(e[0], e[1]) for e in doc["edges"]}
-    edge_ops = {}
-    for key, op in doc.get("edge_ops", {}).items():
-        u, _, v = key.partition("|")
-        edge_ops[(u, v)] = op
+    """The hopset of a store record: `hopset_to_doc` plus age and
+    last_window.  Empty attrs are dropped, so a round trip is exact."""
+    members = {}
+    attrs = {}
+    for n, rec in doc["members"].items():
+        members[n] = MemberRec(rec["as"], rec["hops"], rec["iv"])
+        if rec["attrs"]:
+            attrs[n] = rec["attrs"]
     return Hopset(
         terminals=set(doc["terminals"]),
         members=members,
-        edges=edges,
+        edges={(u, v): op for u, v, op in doc["edges"]},
         has=doc["has"],
         age=doc["age"],
         last_window=doc["last_window"],
-        attrs=dict(doc.get("attrs", {})),
-        edge_ops=edge_ops,
+        attrs=attrs,
     )
 
 
@@ -78,7 +81,8 @@ class EvictionStore:
     def store(self, h: Hopset) -> str:
         hid = hopset_id(h)
         with open(self.tmp_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(hopset_to_doc(h), sort_keys=True, indent=2))
+            doc = dict(hopset_to_doc(h), age=h.age, last_window=h.last_window)
+            fh.write(json.dumps(doc, sort_keys=True, indent=2))
         os.replace(self.tmp_path, self._record_path(hid))
         return hid
 
@@ -87,7 +91,7 @@ class EvictionStore:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return hopset_from_doc(json.load(fh))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise IOError("corrupted store record %s: %s" % (path, exc)) from exc
 
     def remove(self, hid: str):
@@ -105,7 +109,6 @@ class CacheState:
     store: EvictionStore
     capacity: int = DEFAULT_CAPACITY
     epsilon: float = DEFAULT_EPSILON
-    theta: int = 10
     entries: Dict[str, Hopset] = field(default_factory=dict)
     node_index: Dict[str, str] = field(default_factory=dict)
 
@@ -134,7 +137,8 @@ def _add_entry(c: CacheState, h: Hopset) -> str:
     return hid
 
 
-def insert_or_merge(c: CacheState, hs: List[Hopset], window_index: int) -> CacheState:
+def insert_or_merge(c: CacheState, hs: List[Hopset], window_index: int,
+                    theta: int) -> CacheState:
     """Fold the window's hopsets into the cache.
 
     Incoming hopsets that share a member with residents are merged with
@@ -146,7 +150,7 @@ def insert_or_merge(c: CacheState, hs: List[Hopset], window_index: int) -> Cache
         partners = sorted({hid for hid in map(c.node_index.get, h.members)
                            if hid in c.entries})
         # every partner shares a member with h, so the merge yields one hopset
-        merged = merge_hopsets([h] + [_drop_entry(c, pid) for pid in partners], c.theta)[0]
+        merged = merge_hopsets([h] + [_drop_entry(c, pid) for pid in partners], theta)[0]
         merged.age = 0
         merged.last_window = window_index
         touched -= set(partners)

@@ -202,8 +202,7 @@ def _fresh_state(cfg: RunConfig, bundle: Optional[ModelBundle],
                  store_dir: str, scorer=None) -> DetectorState:
     cache = CacheState(store=EvictionStore(store_dir),
                        capacity=cfg.cache_capacity,
-                       epsilon=cfg.epsilon,
-                       theta=cfg.theta)
+                       epsilon=cfg.epsilon)
     return DetectorState(cache=cache, bundle=bundle, params=cfg.isg_params(),
                          alpha_g=cfg.grubbs_alpha, algorithm=cfg.stp,
                          scorer=scorer)

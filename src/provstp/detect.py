@@ -1,13 +1,14 @@
 """Per-window detection: hopset construction, cache maintenance, and
 iterated max-outlier testing over hopset anomaly scores.
 
-Alerts are compact connected subgraphs (the flagged hopsets) with entity
-attributes resolved, written as JSON plus DOT for quick triage.
+An alert is a flagged hopset, a compact connected subgraph with entity
+attributes resolved: its `cache.hopset_to_doc` document plus the alert's
+id, window index and Grubbs statistic, written as JSON plus DOT for quick
+triage.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -20,7 +21,7 @@ from typing import Dict, List, Optional, Set
 
 from . import grubbs_table
 from .anomaly import ModelBundle, score_processes
-from .cache import CacheState, evict, insert_or_merge, lookup
+from .cache import CacheState, evict, hopset_to_doc, insert_or_merge, lookup
 from .ingest import WindowBatch
 from .model import FILE, IP, PROCESS, WindowGraph, build_window_graph
 from .stp import (Hopset, IsgParams, MemberRec, bfs, fanout, hopset_score,
@@ -111,24 +112,6 @@ def _grubbs_statistic(values: List[float], value: float) -> float:
 
 
 @dataclass
-class Alert:
-    id: str
-    window_index: int
-    terminals: List[str]
-    members: Dict[str, dict]
-    edges: List[List[str]]
-    has: float
-    grubbs_statistic: float
-
-    def to_doc(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "Alert":
-        return cls(**{f.name: doc[f.name] for f in dataclasses.fields(cls)})
-
-
-@dataclass
 class DetectorState:
     """Mutable cross-window state.
 
@@ -165,8 +148,8 @@ def steiner_window_hopsets(terminals: List[str], g: WindowGraph,
             as_n = scores.get(n, 0.0)
             members[n] = MemberRec(as_score=as_n, hops=hops[n],
                                    iv=importance(as_n, fanout(n, g), hops[n], p))
-        hs = Hopset(terminals=set(terms), members=members, edges=edges,
-                    last_window=window_index)
+        hs = Hopset(terminals=set(terms), members=members,
+                    edges=dict.fromkeys(edges, ""), last_window=window_index)
         hs.has = hopset_score(hs)
         out.append(hs)
     return out
@@ -187,41 +170,18 @@ def _decorate_hopset(h: Hopset, g: WindowGraph):
         rec = g.nodes.get(n)
         if rec is not None:
             h.attrs[n] = _entity_doc(rec)
-    for e in h.edges:
-        op = g.first_op.get(e)
-        if op is not None:
-            h.edge_ops.setdefault(e, op)
+    for e, op in h.edges.items():
+        if not op:
+            h.edges[e] = g.first_op.get(e, "")
 
 
 def _alert_signature(h: Hopset) -> str:
     return hashlib.md5(",".join(sorted(h.members)).encode("utf-8")).hexdigest()
 
 
-def _build_alert(h: Hopset, hid: str, window_index: int, g_stat: float) -> Alert:
-    members = {}
-    for n, rec in sorted(h.members.items()):
-        members[n] = {
-            "as": rec.as_score,
-            "hops": rec.hops,
-            "iv": rec.iv,
-            "attrs": h.attrs.get(n, {}),
-        }
-    edges = []
-    for u, v in sorted(h.edges):
-        edges.append([u, v, h.edge_ops.get((u, v), "")])
-    return Alert(
-        id="%06d-%s" % (window_index, hid[:12]),
-        window_index=window_index,
-        terminals=sorted(h.terminals),
-        members=members,
-        edges=edges,
-        has=h.has,
-        grubbs_statistic=g_stat,
-    )
-
-
-def process_window(batch: WindowBatch, st: DetectorState) -> List[Alert]:
-    """Run one detection pass over a sealed window of events."""
+def process_window(batch: WindowBatch, st: DetectorState) -> List[dict]:
+    """Run one detection pass over a sealed window of events; returns the
+    documents of the alerts it fires."""
     g = build_window_graph(batch.events, batch.window_index)
     st.counters["illegal_pairs"] = st.counters.get("illegal_pairs", 0) + g.rejected
     if st.scorer is not None:
@@ -245,11 +205,11 @@ def process_window(batch: WindowBatch, st: DetectorState) -> List[Alert]:
             if lookup(st.cache, n)[1] == "restored":
                 st.counters["restored"] = st.counters.get("restored", 0) + 1
 
-    insert_or_merge(st.cache, merged, batch.window_index)
+    insert_or_merge(st.cache, merged, batch.window_index, st.params.theta)
     evicted = evict(st.cache)
     st.counters["evicted"] = st.counters.get("evicted", 0) + len(evicted)
 
-    alerts: List[Alert] = []
+    alerts: List[dict] = []
     resident = sorted(st.cache.entries.items())
     if len(resident) >= MIN_GRUBBS_POPULATION:
         values = [h.has for _, h in resident]
@@ -260,8 +220,10 @@ def process_window(batch: WindowBatch, st: DetectorState) -> List[Alert]:
             if sig in st.emitted:
                 continue
             st.emitted.add(sig)
-            g_stat = _grubbs_statistic(values, values[i])
-            alerts.append(_build_alert(h, hid, batch.window_index, g_stat))
+            alerts.append(dict(hopset_to_doc(h),
+                               id="%06d-%s" % (batch.window_index, hid[:12]),
+                               window_index=batch.window_index,
+                               grubbs_statistic=_grubbs_statistic(values, values[i])))
     st.counters["alerts"] = st.counters.get("alerts", 0) + len(alerts)
     return alerts
 
@@ -284,30 +246,29 @@ def _node_label(nid: str, info: dict) -> str:
     return "%s\\n%s" % (kind, _dot_escape(str(detail))[:60])
 
 
-def alert_to_dot(a: Alert) -> str:
-    lines = ['graph "alert-%s" {' % a.id,
+def alert_to_dot(a: dict) -> str:
+    lines = ['graph "alert-%s" {' % a["id"],
              "  node [fontname=\"monospace\"];"]
-    term = set(a.terminals)
-    for nid in sorted(a.members):
-        info = a.members[nid]
+    term = set(a["terminals"])
+    for nid, info in sorted(a["members"].items()):
         shape = "doublecircle" if nid in term else "box"
         style = ', style=filled, fillcolor="#ffcccc"' if nid in term else ""
         lines.append('  "%s" [label="%s", shape=%s%s];'
                      % (nid, _node_label(nid, info), shape, style))
-    for u, v, op in a.edges:
+    for u, v, op in a["edges"]:
         label = ' [label="%s"]' % _dot_escape(op) if op else ""
         lines.append('  "%s" -- "%s"%s;' % (u, v, label))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def emit_alert(a: Alert, out_dir: str) -> List[str]:
+def emit_alert(a: dict, out_dir: str) -> List[str]:
     """Write alert-<id>.json and alert-<id>.dot; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
-    json_path = os.path.join(out_dir, "alert-%s.json" % a.id)
-    dot_path = os.path.join(out_dir, "alert-%s.dot" % a.id)
+    json_path = os.path.join(out_dir, "alert-%s.json" % a["id"])
+    dot_path = os.path.join(out_dir, "alert-%s.dot" % a["id"])
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(a.to_doc(), fh, sort_keys=True, indent=2)
+        json.dump(a, fh, sort_keys=True, indent=2)
         fh.write("\n")
     with open(dot_path, "w", encoding="utf-8") as fh:
         fh.write(alert_to_dot(a))

@@ -15,14 +15,13 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .ingest import _entity
+from .ingest import DEFAULT_WINDOW_SECONDS, _entity
 from .model import FILE, IP, PROCESS
 
 SCENARIOS = ("benign-only", "apt-webshell", "apt-sql-hijack", "apt-long-gap")
 
 DEFAULT_RATE = 40.0  # events per second per host
 DEFAULT_DURATION = 60.0
-DEFAULT_WINDOW_SECONDS = 10.0
 
 
 @dataclass

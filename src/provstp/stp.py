@@ -38,12 +38,11 @@ class MemberRec:
 class Hopset:
     terminals: Set[str]
     members: Dict[str, MemberRec]
-    edges: Set[Pair]
+    edges: Dict[Pair, str]  # edge -> its op, "" until a window graph names it
     has: float = 0.0
     age: int = 0
     last_window: int = 0
     attrs: Dict[str, dict] = field(default_factory=dict)
-    edge_ops: Dict[Pair, str] = field(default_factory=dict)
 
 
 def hopset_id(h: Hopset) -> str:
@@ -78,7 +77,7 @@ def isg_hopset(t: str, g, scores: Dict[str, float], p: IsgParams,
     adj = g.undirected
     iv_t = importance(scores.get(t, 0.0), fanout(t, g), 0, p)
     members = {t: MemberRec(scores.get(t, 0.0), 0, iv_t)}
-    edges: Set[Pair] = set()
+    edges: Dict[Pair, str] = {}
     heap: List[Tuple[float, str, str, int]] = []
     seen = {t}
     for nb in adj[t]:
@@ -88,7 +87,7 @@ def isg_hopset(t: str, g, scores: Dict[str, float], p: IsgParams,
     while heap and len(members) < p.theta:
         neg_iv, node, par, hops = heapq.heappop(heap)
         members[node] = MemberRec(scores.get(node, 0.0), hops, -neg_iv)
-        edges.add(_pair(node, par))
+        edges[_pair(node, par)] = ""
         for nb in adj[node]:
             if nb not in seen:
                 seen.add(nb)
@@ -175,27 +174,23 @@ def _prune_to_bound(h: Hopset, bound: int):
             kids[pv].discard(n)
             if not kids[pv] and pv not in h.terminals:
                 heapq.heappush(heap, (h.members[pv].iv, pv))
+    # a kept node's parent is kept, so its traversal edge survives here
     h.members = {n: rec for n, rec in h.members.items() if n in kept}
-    survivors = {e for e in h.edges if e[0] in kept and e[1] in kept}
-    for v in kept:
-        pv = parent[v]
-        if pv is not None:
-            survivors.add(_pair(v, pv))
-    h.edges = survivors
+    h.edges = {e: op for e, op in h.edges.items() if e[0] in kept and e[1] in kept}
     h.attrs = {n: a for n, a in h.attrs.items() if n in kept}
-    h.edge_ops = {e: op for e, op in h.edge_ops.items() if e in h.edges}
 
 
 def _union_group(group: List[Hopset], theta: int) -> Hopset:
     terminals: Set[str] = set()
     members: Dict[str, MemberRec] = {}
-    edges: Set[Pair] = set()
+    edges: Dict[Pair, str] = {}
     attrs: Dict[str, dict] = {}
-    edge_ops: Dict[Pair, str] = {}
     last_window = 0
     for h in group:
         terminals |= h.terminals
-        edges |= h.edges
+        for e, op in h.edges.items():
+            if not edges.get(e):  # the first non-empty op wins
+                edges[e] = op
         last_window = max(last_window, h.last_window)
         for n, rec in h.members.items():
             cur = members.get(n)
@@ -203,10 +198,8 @@ def _union_group(group: List[Hopset], theta: int) -> Hopset:
                 members[n] = rec
         for n, a in h.attrs.items():
             attrs.setdefault(n, a)
-        for e, op in h.edge_ops.items():
-            edge_ops.setdefault(e, op)
     merged = Hopset(terminals, members, edges, age=0, last_window=last_window,
-                    attrs=attrs, edge_ops=edge_ops)
+                    attrs=attrs)
     if len(merged.members) > theta * len(merged.terminals):
         _prune_to_bound(merged, theta * len(merged.terminals))
     merged.has = hopset_score(merged)
@@ -387,16 +380,8 @@ def optimal_steiner_bruteforce(adj: Dict[str, Set[str]], terminals: Sequence[str
         if best_nodes is not None and len(cand) >= len(best_nodes):
             continue
         # connected over cand and covering all terminals?
-        start = terms[0]
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v in cand and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        if all(t in seen for t in terms) and seen == cand:
+        seen = bfs({n: adj[n] & cand for n in cand}, [terms[0]])[0]
+        if seen.keys() == cand:
             best_nodes = cand
     if best_nodes is None:
         raise ValueError("terminals are disconnected")

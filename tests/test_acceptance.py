@@ -17,7 +17,8 @@ import time
 import numpy as np
 import pytest
 
-from provstp.anomaly import (ModelBundle, VaeConfig, dbscan, train_vae,
+from provstp._kernels import dbscan_labels
+from provstp.anomaly import (ModelBundle, VaeConfig, train_vae,
                              vae_loss_and_grads, _init_params)
 from provstp.cache import CacheState, EvictionStore, _add_entry, energy, evict
 from provstp.cli import main
@@ -210,7 +211,7 @@ def test_criterion_05_dbscan_matches_bruteforce():
         X = np.vstack([centers[rs.randint(k)] + rs.randn(d) * 0.5 for _ in range(n)])
         eps = rng.uniform(0.5, 1.5)
         min_pts = rng.randrange(3, 6)
-        if _normalize(dbscan(X, eps, min_pts)) != \
+        if _normalize(dbscan_labels(X, eps, min_pts)) != \
                 _normalize(oracle_dbscan(X, eps, min_pts)):
             mismatches += 1
     ok = mismatches == 0
@@ -276,7 +277,7 @@ def test_criterion_07_long_gap_linkage_under_eviction(work_root, model_dir):
         spanning = 0
         for batch in window_stream(read_events(events)):
             for alert in process_window(batch, st):
-                members = set(alert.members)
+                members = set(alert["members"])
                 if members & stage_a_only and members & stage_b_only:
                     spanning += 1
         evicted = st.counters.get("evicted", 0)
@@ -296,12 +297,11 @@ def random_hopset(rng, tag, n_members):
             as_score=rng.uniform(0.0, 8.0), hops=rng.randrange(0, 10),
             iv=rng.uniform(0.0, 500.0))
     ids = sorted(members)
-    edges = {(a, b) for a, b in zip(ids, ids[1:])}
+    edges = {(a, b): "read" for a, b in zip(ids, ids[1:])}
     return Hopset(terminals={ids[0]}, members=members, edges=edges,
                   has=sum(m.as_score for m in members.values()),
                   age=rng.randrange(0, 6), last_window=rng.randrange(0, 100),
-                  attrs={n: {"kind": "file", "path": "/x/" + n} for n in ids},
-                  edge_ops={e: "read" for e in edges})
+                  attrs={n: {"kind": "file", "path": "/x/" + n} for n in ids})
 
 
 def test_criterion_08_cache_roundtrip_and_eviction_order():

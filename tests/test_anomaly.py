@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from provstp._kernels import dbscan_labels
 from provstp.anomaly import (
     VaeConfig,
     VaeModel,
@@ -12,7 +13,6 @@ from provstp.anomaly import (
     anomaly_score,
     build_stability_table,
     calibrate_threshold,
-    dbscan,
     reconstruction_errors,
     train_vae,
     vae_loss_and_grads,
@@ -152,15 +152,21 @@ def test_dbscan_two_blobs():
     rs = np.random.RandomState(7)
     a = rs.randn(12, 3) * 0.05
     b = rs.randn(12, 3) * 0.05 + 100.0
-    labels = dbscan(np.vstack([a, b]), eps=1.0, min_pts=3)
+    labels = dbscan_labels(np.vstack([a, b]), eps=1.0, min_pts=3)
     assert set(labels.tolist()) == {0, 1}
     assert len(set(labels[:12].tolist())) == 1 and len(set(labels[12:].tolist())) == 1
 
 
 def test_dbscan_all_noise():
     pts = np.array([[0.0], [10.0], [20.0], [30.0]])
-    labels = dbscan(pts, eps=1.0, min_pts=2)
+    labels = dbscan_labels(pts, eps=1.0, min_pts=2)
     assert all(v == -1 for v in labels)
+
+
+def test_dbscan_no_points():
+    for pts in ([], np.zeros((0, 3))):
+        labels = dbscan_labels(pts, eps=1.0, min_pts=2)
+        assert labels.dtype == np.int64 and labels.shape == (0,)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -172,7 +178,7 @@ def test_dbscan_matches_bruteforce_oracle(seed):
                      for c in centers])[:n]
     eps = rs.uniform(0.4, 1.5)
     min_pts = rs.randint(2, 6)
-    ours = _normalize(dbscan(pts, eps, min_pts))
+    ours = _normalize(dbscan_labels(pts, eps, min_pts))
     ref = _normalize(oracle_dbscan(pts, eps, min_pts))
     assert ours == ref
 

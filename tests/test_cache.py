@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -17,31 +18,30 @@ from provstp.cache import (
     EvictionStore,
     energy,
     evict,
-    hopset_from_doc,
     hopset_to_doc,
     insert_or_merge,
     lookup,
 )
 from provstp.stp import Hopset, MemberRec, hopset_id, hopset_score, merge_hopsets
 
+THETA = 10
+
 
 def make_hopset(term, leaf_scores, attrs=None, ops=None):
     members = {term: MemberRec(1.0, 0, 100.0)}
-    edges = set()
-    edge_ops = {}
+    edges = {}
     for leaf, sc in leaf_scores.items():
         members[leaf] = MemberRec(sc, 1, 10.0 + sc)
         e = (term, leaf) if term < leaf else (leaf, term)
-        edges.add(e)
-        edge_ops[e] = (ops or {}).get(leaf, "read")
-    h = Hopset({term}, members, edges, attrs=dict(attrs or {}), edge_ops=edge_ops)
+        edges[e] = (ops or {}).get(leaf, "read")
+    h = Hopset({term}, members, edges, attrs=dict(attrs or {}))
     h.has = hopset_score(h)
     return h
 
 
-def fresh_cache(tmp_path, capacity=100, theta=10):
+def fresh_cache(tmp_path, capacity=100):
     store = EvictionStore(str(tmp_path / "store"))
-    return CacheState(store=store, capacity=capacity, theta=theta)
+    return CacheState(store=store, capacity=capacity)
 
 
 def audit(c):
@@ -59,12 +59,11 @@ def audit(c):
 
 def same_content(a, b):
     return (a.terminals == b.terminals and a.members == b.members
-            and a.edges == b.edges and a.has == b.has
-            and a.attrs == b.attrs and a.edge_ops == b.edge_ops)
+            and a.edges == b.edges and a.has == b.has and a.attrs == b.attrs)
 
 
 def test_energy_examples():
-    h = Hopset({"t"}, {}, set(), has=10.0, age=0)
+    h = Hopset({"t"}, {}, {}, has=10.0, age=0)
     assert energy(h, 0.8) == 10.0
     h.age = 2
     assert energy(h, 0.8) == pytest.approx(6.4)
@@ -74,23 +73,26 @@ def test_energy_examples():
         assert energy(h, 0.8) == 0.0
 
 
-def test_doc_round_trip_bit_exact():
-    h = make_hopset("t0", {"f1": 0.1 + 0.2, "f2": -1.75},
-                    attrs={"t0": {"kind": "Process", "name": "sh"}},
-                    ops={"f1": "write"})
-    h.age = 3
-    h.last_window = 17
-    doc = json.loads(json.dumps(hopset_to_doc(h), sort_keys=True))
-    back = hopset_from_doc(doc)
-    assert same_content(h, back)
-    assert back.age == 3 and back.last_window == 17
-    assert back.members["f1"].as_score == 0.1 + 0.2
+def test_doc_round_trip_bit_exact(tmp_path):
+    store = EvictionStore(str(tmp_path / "store"))
+    for attrs, ops in [
+        ({"t0": {"kind": "Process", "name": "sh"}}, {"f1": "write"}),
+        # t0 and f2 without attrs, the edge to f2 without an op
+        ({"f1": {"kind": "File", "path": "/tmp/café"}}, {"f2": ""}),
+    ]:
+        h = make_hopset("t0", {"f1": 0.1 + 0.2, "f2": -1.75}, attrs=attrs, ops=ops)
+        h.age = 3
+        h.last_window = 17
+        back = store.load(store.store(h))
+        assert same_content(h, back)
+        assert back.age == 3 and back.last_window == 17
+        assert back.members["f1"].as_score == 0.1 + 0.2
 
 
 def test_insert_into_empty_cache(tmp_path):
     c = fresh_cache(tmp_path)
     h = make_hopset("t0", {"f1": 0.5})
-    insert_or_merge(c, [h], window_index=4)
+    insert_or_merge(c, [h], 4, THETA)
     assert len(c.entries) == 1
     entry = next(iter(c.entries.values()))
     assert entry.age == 0
@@ -100,17 +102,17 @@ def test_insert_into_empty_cache(tmp_path):
 
 def test_untouched_entries_age(tmp_path):
     c = fresh_cache(tmp_path)
-    insert_or_merge(c, [make_hopset("t0", {"f1": 0.5})], 0)
+    insert_or_merge(c, [make_hopset("t0", {"f1": 0.5})], 0, THETA)
     for w in (1, 2, 3):
-        insert_or_merge(c, [], w)
+        insert_or_merge(c, [], w, THETA)
     entry = next(iter(c.entries.values()))
     assert entry.age == 3
 
 
 def test_incoming_merges_with_resident(tmp_path):
     c = fresh_cache(tmp_path)
-    insert_or_merge(c, [make_hopset("t0", {"shared": 0.5, "f1": 0.25})], 0)
-    insert_or_merge(c, [make_hopset("t1", {"shared": 0.5, "g1": 0.25})], 1)
+    insert_or_merge(c, [make_hopset("t0", {"shared": 0.5, "f1": 0.25})], 0, THETA)
+    insert_or_merge(c, [make_hopset("t1", {"shared": 0.5, "g1": 0.25})], 1, THETA)
     assert len(c.entries) == 1
     entry = next(iter(c.entries.values()))
     assert entry.terminals == {"t0", "t1"}
@@ -122,8 +124,8 @@ def test_incoming_merges_with_resident(tmp_path):
     # an incoming hopset that bridges two residents merges with both into one entry
     c = fresh_cache(tmp_path / "bridge")
     insert_or_merge(c, [make_hopset("t0", {"a": 0.5}), make_hopset("t1", {"b": 0.5}),
-                        make_hopset("t2", {"c": 0.5})], 0)
-    insert_or_merge(c, [make_hopset("t3", {"a": 0.25, "b": 0.25})], 1)
+                        make_hopset("t2", {"c": 0.5})], 0, THETA)
+    insert_or_merge(c, [make_hopset("t3", {"a": 0.25, "b": 0.25})], 1, THETA)
     merged = c.entries[c.node_index["t3"]]
     assert merged.terminals == {"t0", "t1", "t3"}
     assert (merged.age, merged.last_window) == (0, 1)
@@ -135,8 +137,8 @@ def test_incoming_merges_with_resident(tmp_path):
 
 def test_disjoint_incoming_ages_resident(tmp_path):
     c = fresh_cache(tmp_path)
-    insert_or_merge(c, [make_hopset("t0", {"f1": 0.5})], 0)
-    insert_or_merge(c, [make_hopset("t1", {"g1": 0.5})], 1)
+    insert_or_merge(c, [make_hopset("t0", {"f1": 0.5})], 0, THETA)
+    insert_or_merge(c, [make_hopset("t1", {"g1": 0.5})], 1, THETA)
     ages = sorted(h.age for h in c.entries.values())
     assert ages == [0, 1]
     audit(c)
@@ -144,7 +146,7 @@ def test_disjoint_incoming_ages_resident(tmp_path):
 
 def test_evict_under_capacity_noop(tmp_path):
     c = fresh_cache(tmp_path, capacity=100)
-    insert_or_merge(c, [make_hopset("t0", {"f1": 0.5})], 0)
+    insert_or_merge(c, [make_hopset("t0", {"f1": 0.5})], 0, THETA)
     assert evict(c) == []
     assert len(c.entries) == 1
 
@@ -155,7 +157,7 @@ def test_evict_lowest_energy(tmp_path):
     high = make_hopset("t1", {"g%d" % i: 1.6 for i in range(5)})  # has = 9
     assert low.has == pytest.approx(5.0)
     assert high.has == pytest.approx(9.0)
-    insert_or_merge(c, [low, high], 0)
+    insert_or_merge(c, [low, high], 0, THETA)
     assert c.member_total() == 12
     gone = evict(c)
     assert gone == [hopset_id(low)]
@@ -170,15 +172,15 @@ def test_evict_then_lookup_restores_equal(tmp_path):
     h = make_hopset("t0", {"f1": 0.1 + 0.2, "f2": 1.5},
                     attrs={"f1": {"kind": "File", "path": "/tmp/x"}},
                     ops={"f2": "write"})
-    original = hopset_to_doc(h)
-    insert_or_merge(c, [h], 0)
-    insert_or_merge(c, [], 1)
+    original = copy.deepcopy(h)
+    insert_or_merge(c, [h], 0, THETA)
+    insert_or_merge(c, [], 1, THETA)
     assert evict(c) == [hopset_id(h)]
     assert c.store.load(hopset_id(h)).age == 1
     assert c.entries == {}
     got, where = lookup(c, "f1")
     assert where == "restored"
-    assert same_content(got, hopset_from_doc(original))
+    assert same_content(got, original)
     assert got.age == 0
     # back in the cache, gone from the store
     assert lookup(c, "f2") == (got, "resident")
@@ -194,7 +196,8 @@ def test_store_record_bytes_and_removing_a_missing_record(tmp_path):
     hid = store.store(h)
     want = tmp_path / "json_dump.json"
     with open(want, "w", encoding="utf-8") as fh:
-        json.dump(hopset_to_doc(h), fh, sort_keys=True, indent=2)
+        record = dict(hopset_to_doc(h), age=h.age, last_window=h.last_window)
+        json.dump(record, fh, sort_keys=True, indent=2)
     with open(os.path.join(store.hopset_dir, hid + ".json"), "rb") as fh:
         assert fh.read() == want.read_bytes()
     store.remove(hid)
@@ -207,21 +210,32 @@ def test_lookup_absent(tmp_path):
     assert lookup(c, "nobody") == (None, "absent")
 
 
+OLD_SHAPE_RECORD = {  # attrs beside the members, ops keyed "u|v"
+    "terminals": ["t0"], "has": 1.5, "age": 1, "last_window": 0,
+    "members": {"t0": {"as": 1.0, "hops": 0, "iv": 100.0},
+                "f1": {"as": 0.5, "hops": 1, "iv": 10.5}},
+    "edges": [["f1", "t0"]], "attrs": {}, "edge_ops": {"f1|t0": "read"},
+}
+PAIR_EDGES_RECORD = dict(OLD_SHAPE_RECORD, members={
+    n: dict(rec, attrs={}) for n, rec in OLD_SHAPE_RECORD["members"].items()})
+
+
 def test_lookup_corrupted_record(tmp_path):
     c = fresh_cache(tmp_path, capacity=0)
     h = make_hopset("t0", {"f1": 0.5})
-    insert_or_merge(c, [h], 0)
+    insert_or_merge(c, [h], 0, THETA)
     hid = evict(c)[0]
     path = os.path.join(c.store.hopset_dir, hid + ".json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{not json")
-    with pytest.raises(IOError, match=hid):
-        lookup(c, "f1")
+    for text in ["{not json", json.dumps(OLD_SHAPE_RECORD), json.dumps(PAIR_EDGES_RECORD)]:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with pytest.raises(IOError, match=hid):
+            lookup(c, "f1")
 
 
 def test_torn_record_raises_ioerror_on_reopen(tmp_path):
     c = fresh_cache(tmp_path, capacity=0)
-    insert_or_merge(c, [make_hopset("t0", {"f1": 0.5})], 0)
+    insert_or_merge(c, [make_hopset("t0", {"f1": 0.5})], 0, THETA)
     hid = evict(c)[0]
     path = os.path.join(c.store.hopset_dir, hid + ".json")
     with open(path, "r+", encoding="utf-8") as fh:
@@ -308,7 +322,7 @@ def test_evict_ranks_residents_once(tmp_path, monkeypatch):
 def test_store_index_persists(tmp_path):
     c = fresh_cache(tmp_path, capacity=0)
     h = make_hopset("t0", {"f1": 0.5})
-    insert_or_merge(c, [h], 0)
+    insert_or_merge(c, [h], 0, THETA)
     hid = evict(c)[0]
     assert os.listdir(c.store.hopset_dir) == [hid + ".json"]
     # a later store cut short before its rename leaves only the temp file
@@ -337,11 +351,11 @@ def test_node_index_audit_under_random_ops(tmp_path):
             batch.append(h)
             all_nodes.extend(h.members)
         # window-level disjointness: merge any overlapping incoming first
-        batch = merge_hopsets(batch, c.theta)
+        batch = merge_hopsets(batch, THETA)
         for h in batch:
             for n in list(h.members):
                 got, _ = lookup(c, n)
-        insert_or_merge(c, batch, w)
+        insert_or_merge(c, batch, w, THETA)
         evict(c)
         audit(c)
         assert c.member_total() <= c.capacity
@@ -362,7 +376,7 @@ def test_ten_thousand_round_trips_stay_linear(tmp_path):
           for i in range(n)]
     started = time.perf_counter()
     for i, h in enumerate(hs):
-        insert_or_merge(c, [h], i)
+        insert_or_merge(c, [h], i, THETA)
         assert evict(c) == [hopset_id(h)]
     assert len(c.store.ids()) == n and len(c.node_index) == 10 * n
     for i, h in enumerate(hs):
@@ -395,8 +409,7 @@ class CacheMachine(RuleBasedStateMachine):
         self.resident = set()
 
     def _open(self):
-        return CacheState(store=EvictionStore(self.root), capacity=self.CAPACITY,
-                          theta=self.THETA)
+        return CacheState(store=EvictionStore(self.root), capacity=self.CAPACITY)
 
     def teardown(self):
         shutil.rmtree(self.root, ignore_errors=True)
@@ -414,7 +427,7 @@ class CacheMachine(RuleBasedStateMachine):
         for h in batch:
             for n in sorted(h.members):
                 lookup(self.cache, n)
-        insert_or_merge(self.cache, batch, self.window)
+        insert_or_merge(self.cache, batch, self.window, self.THETA)
         evicted = evict(self.cache)
         self.window += 1
 

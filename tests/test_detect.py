@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -9,9 +10,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from provstp import detect
-from provstp.cache import CacheState, EvictionStore
+from provstp.cache import CacheState, EvictionStore, hopset_to_doc, insert_or_merge
 from provstp.detect import (
-    Alert,
     DetectorState,
     alert_to_dot,
     emit_alert,
@@ -21,7 +21,7 @@ from provstp.detect import (
 )
 from provstp.ingest import WindowBatch
 from provstp.model import FILE, IP, PROCESS, FileAttrs, IpAttrs, ProcessAttrs
-from provstp.stp import IsgParams
+from provstp.stp import Hopset, IsgParams, MemberRec
 from streams import event
 
 
@@ -138,7 +138,7 @@ class StubBundle:
 
 def make_state(tmp_path, tau=1.0, capacity=10_000, theta=10, alpha_g=0.05):
     store = EvictionStore(str(tmp_path / "store"))
-    cache = CacheState(store=store, capacity=capacity, theta=theta)
+    cache = CacheState(store=store, capacity=capacity)
     return DetectorState(cache=cache, bundle=StubBundle(tau),
                          params=IsgParams(theta=theta), alpha_g=alpha_g)
 
@@ -195,11 +195,11 @@ def test_outlier_hopset_alerts_once(tmp_path, monkeypatch):
     alerts = process_window(benign_window(8, "evil", 666, "/tmp/implant"), st)
     assert len(alerts) == 1
     a = alerts[0]
-    assert a.window_index == 8
-    assert a.grubbs_statistic > grubbs_critical(9, 0.05)
-    assert any(info["attrs"].get("name") == "evil" for info in a.members.values())
+    assert a["window_index"] == 8
+    assert a["grubbs_statistic"] > grubbs_critical(9, 0.05)
+    assert any(info["attrs"].get("name") == "evil" for info in a["members"].values())
     # flagged entry stays resident with age zero
-    flagged = [h for h in st.cache.entries.values() if h.has == a.has]
+    flagged = [h for h in st.cache.entries.values() if h.has == a["has"]]
     assert flagged and flagged[0].age == 0
     # unchanged campaign does not re-alert
     again = process_window(benign_window(9, "x", 900, "/var/x"), st)
@@ -219,7 +219,7 @@ def test_grown_campaign_realerts(tmp_path, monkeypatch):
     # the same campaign touches a new file: members change, alert re-issued
     second = process_window(benign_window(9, "evil", 666, "/tmp/stage2"), st)
     assert len(second) == 1
-    assert set(second[0].members) > set(first[0].members)
+    assert set(second[0]["members"]) > set(first[0]["members"])
 
 
 def test_restored_hopset_links_stages(tmp_path, monkeypatch):
@@ -250,28 +250,22 @@ def test_restored_hopset_links_stages(tmp_path, monkeypatch):
 
 
 def sample_alert():
-    return Alert(
-        id="000003-abcdef012345",
-        window_index=3,
-        terminals=["p1"],
-        members={
-            "p1": {"as": 2.5, "hops": 0, "iv": 250.0,
-                   "attrs": {"kind": "process", "name": "sh", "cmdline": "sh -c x"}},
-            "f1": {"as": 0.0, "hops": 1, "iv": 1.0,
-                   "attrs": {"kind": "file", "path": "/tmp/x \"quoted\""}},
-            "n1": {"as": 0.0, "hops": 1, "iv": 0.5,
-                   "attrs": {"kind": "ip", "dst_ip": "10.0.0.9", "dst_port": 443}},
-        },
-        edges=[["f1", "p1", "write"], ["n1", "p1", "sendto"]],
-        has=2.5,
-        grubbs_statistic=3.1,
-    )
+    h = Hopset({"p1"}, {
+        "p1": MemberRec(2.5, 0, 250.0),
+        "f1": MemberRec(0.0, 1, 1.0),
+        "n1": MemberRec(0.0, 1, 0.5),
+    }, {("f1", "p1"): "write", ("n1", "p1"): "sendto"}, has=2.5, attrs={
+        "p1": {"kind": "process", "name": "sh", "cmdline": "sh -c x"},
+        "f1": {"kind": "file", "path": "/tmp/x \"quoted\""},
+        "n1": {"kind": "ip", "dst_ip": "10.0.0.9", "dst_port": 443},
+    })
+    return dict(hopset_to_doc(h), id="000003-abcdef012345", window_index=3,
+                grubbs_statistic=3.1)
 
 
 def test_alert_doc_round_trip():
     a = sample_alert()
-    doc = json.loads(json.dumps(a.to_doc(), sort_keys=True))
-    assert Alert.from_doc(doc) == a
+    assert json.loads(json.dumps(a, sort_keys=True)) == a
 
 
 _NODE_RE = re.compile(r'^  "[^"]+" \[label="(?:[^"\\]|\\.)*", shape=\w+'
@@ -311,7 +305,7 @@ def test_emit_alert_files(tmp_path):
     paths = emit_alert(a, str(tmp_path / "out"))
     assert len(paths) == 2
     with open(paths[0], "r", encoding="utf-8") as fh:
-        assert Alert.from_doc(json.load(fh)) == a
+        assert json.load(fh) == a
     with open(paths[1], "r", encoding="utf-8") as fh:
         check_dot_grammar(fh.read())
 
@@ -331,12 +325,12 @@ def test_alert_subgraph_is_connected(tmp_path, monkeypatch):
     alerts = process_window(window(3, events), st)
     assert len(alerts) == 1
     a = alerts[0]
-    assert len(a.members) <= st.params.theta * len(a.terminals)
-    adj = {n: set() for n in a.members}
-    for u, v, _ in a.edges:
+    assert len(a["members"]) <= st.params.theta * len(a["terminals"])
+    adj = {n: set() for n in a["members"]}
+    for u, v, _ in a["edges"]:
         adj[u].add(v)
         adj[v].add(u)
-    start = a.terminals[0]
+    start = a["terminals"][0]
     seen = {start}
     stack = [start]
     while stack:
@@ -345,6 +339,43 @@ def test_alert_subgraph_is_connected(tmp_path, monkeypatch):
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
-    assert seen == set(a.members)
-    for u, v, op in a.edges:
+    assert seen == set(a["members"])
+    for u, v, op in a["edges"]:
         assert op != ""
+
+
+# sha256 of the alert files written below, recorded with the alert builder
+# that predates `hopset_to_doc` writing alerts: any change to the alert
+# format, key order, float or non-ASCII escaping shows here
+PINNED_ALERT_SHA256 = {
+    "alert-000007-ec6ef230f182.json":
+        "fd3f97245b8ba52ab6647174f7230ff6d8c788f0f1ead89c6e24beb6f4807afa",
+    "alert-000007-ec6ef230f182.dot":
+        "27c3608aae6f64203de2b138386c529fbefbcc213bc74ecff9f2538c67ba5846",
+}
+
+
+def test_alert_file_bytes_are_pinned(tmp_path, monkeypatch):
+    """A hopset with a member without attrs, an edge without an op, a
+    non-ASCII path and a score of 0.1 + 0.2, alerted on beside five
+    zero-score residents, gives these exact alert files."""
+    h = Hopset({"p1"}, {
+        "p1": MemberRec(0.1 + 0.2, 0, 30.1),
+        "f1": MemberRec(0.0, 1, 0.9),
+        "u1": MemberRec(0.0, 2, 0.81),
+    }, {("f1", "p1"): "write", ("f1", "u1"): ""}, has=0.1 + 0.2, attrs={
+        "p1": {"kind": "process", "pid": 4242, "tid": 4242, "uid": 0, "name": "sh",
+               "cmdline": 'sh -c "x"', "host": "h1"},
+        "f1": {"kind": "file", "path": "/tmp/café/naïve ☃.txt", "host": "h1"},
+    })
+    quiet = [Hopset({"q%d" % i}, {"q%d" % i: MemberRec(0.0, 0, 0.0)}, {}) for i in range(5)]
+    st = make_state(tmp_path)
+    insert_or_merge(st.cache, [h] + quiet, 6, st.params.theta)
+    patch_scores(monkeypatch, {})
+    alerts = process_window(window(7, []), st)
+    assert len(alerts) == 1
+    digests = {}
+    for path in emit_alert(alerts[0], str(tmp_path / "out")):
+        with open(path, "rb") as fh:
+            digests[path.rsplit("/", 1)[1]] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == PINNED_ALERT_SHA256

@@ -116,7 +116,7 @@ def test_isg_chain_depth():
     assert set(h.members) == {"t", "a", "b"}
     assert h.members["a"].hops == 1
     assert h.members["b"].hops == 2
-    assert h.edges == {("a", "t"), ("a", "b")}
+    assert h.edges == {("a", "t"): "", ("a", "b"): ""}
     assert h.has == pytest.approx(5.0)
 
 
@@ -124,7 +124,7 @@ def test_isg_theta_one():
     g = FakeGraph([("t", "a"), ("a", "b")])
     h = isg_hopset("t", g, {}, IsgParams(theta=1))
     assert set(h.members) == {"t"}
-    assert h.edges == set()
+    assert h.edges == {}
 
 
 def test_isg_prefers_high_importance():
@@ -163,27 +163,27 @@ def test_hopset_score_examples():
         "t": MemberRec(1.0, 0, 1.0),
         "a": MemberRec(2.0, 1, 1.0),
         "b": MemberRec(3.0, 1, 1.0),
-    }, set())
+    }, {})
     assert hopset_score(h) == 6.0
     h.members["c"] = MemberRec(-1.0, 1, 1.0)
     assert hopset_score(h) == 5.0
-    assert hopset_score(Hopset(set(), {}, set())) == 0.0
+    assert hopset_score(Hopset(set(), {}, {})) == 0.0
 
 
 def test_hopset_id_is_terminal_digest():
-    h1 = Hopset({"b", "a"}, {}, set())
-    h2 = Hopset({"a", "b"}, {}, set())
+    h1 = Hopset({"b", "a"}, {}, {})
+    h2 = Hopset({"a", "b"}, {}, {})
     assert hopset_id(h1) == hopset_id(h2)
     assert len(hopset_id(h1)) == 32
-    assert hopset_id(h1) != hopset_id(Hopset({"a"}, {}, set()))
+    assert hopset_id(h1) != hopset_id(Hopset({"a"}, {}, {}))
 
 
 def _leaf_hopset(term, members, ivs, extra_edges=()):
     recs = {term: MemberRec(1.0, 0, 1000.0)}
-    edges = set(extra_edges)
+    edges = dict.fromkeys(extra_edges, "")
     for m in members:
         recs[m] = MemberRec(0.5, 1, ivs[m])
-        edges.add((term, m) if term < m else (m, term))
+        edges[(term, m) if term < m else (m, term)] = ""
     h = Hopset({term}, recs, edges)
     h.has = hopset_score(h)
     return h
@@ -214,11 +214,11 @@ def test_merge_keeps_max_iv_record():
     a = Hopset({"ta"}, {
         "ta": MemberRec(1.0, 0, 100.0),
         "s": MemberRec(0.5, 1, 7.0),
-    }, {("s", "ta")})
+    }, {("s", "ta"): ""})
     b = Hopset({"tb"}, {
         "tb": MemberRec(1.0, 0, 100.0),
         "s": MemberRec(0.5, 2, 11.0),
-    }, {("s", "tb")})
+    }, {("s", "tb"): ""})
     out = merge_hopsets([a, b], theta=10)
     assert out[0].members["s"].iv == 11.0
     assert out[0].members["s"].hops == 2
