@@ -6,8 +6,8 @@ hopsets come back through lookup() so long-running campaigns can be
 stitched together across large time gaps.
 
 `hopset_to_doc` is the one JSON form of a hopset.  A store record is that
-document plus the hopset's age and last window; an alert (see `detect`)
-is it plus the alert's id, window index and Grubbs statistic.
+document plus the hopset's age; an alert (see `detect`) is it plus the
+alert's id, window index and Grubbs statistic.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ def hopset_to_doc(h: Hopset) -> dict:
 
 
 def hopset_from_doc(doc: dict) -> Hopset:
-    """The hopset of a store record: `hopset_to_doc` plus age and
-    last_window.  Empty attrs are dropped, so a round trip is exact."""
+    """The hopset of a store record: `hopset_to_doc` plus age.  Empty attrs
+    are dropped, so a round trip is exact; other keys are ignored."""
     members = {}
     attrs = {}
     for n, rec in doc["members"].items():
@@ -55,7 +55,6 @@ def hopset_from_doc(doc: dict) -> Hopset:
         edges={(u, v): op for u, v, op in doc["edges"]},
         has=doc["has"],
         age=doc["age"],
-        last_window=doc["last_window"],
         attrs=attrs,
     )
 
@@ -81,7 +80,7 @@ class EvictionStore:
     def store(self, h: Hopset) -> str:
         hid = hopset_id(h)
         with open(self.tmp_path, "w", encoding="utf-8") as fh:
-            doc = dict(hopset_to_doc(h), age=h.age, last_window=h.last_window)
+            doc = dict(hopset_to_doc(h), age=h.age)
             fh.write(json.dumps(doc, sort_keys=True, indent=2))
         os.replace(self.tmp_path, self._record_path(hid))
         return hid
@@ -137,8 +136,7 @@ def _add_entry(c: CacheState, h: Hopset) -> str:
     return hid
 
 
-def insert_or_merge(c: CacheState, hs: List[Hopset], window_index: int,
-                    theta: int) -> CacheState:
+def insert_or_merge(c: CacheState, hs: List[Hopset], theta: int) -> CacheState:
     """Fold the window's hopsets into the cache.
 
     Incoming hopsets that share a member with residents are merged with
@@ -152,7 +150,6 @@ def insert_or_merge(c: CacheState, hs: List[Hopset], window_index: int,
         # every partner shares a member with h, so the merge yields one hopset
         merged = merge_hopsets([h] + [_drop_entry(c, pid) for pid in partners], theta)[0]
         merged.age = 0
-        merged.last_window = window_index
         touched -= set(partners)
         touched.add(_add_entry(c, merged))
     for hid, h in c.entries.items():

@@ -112,10 +112,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             if not _accepts(known[name], value):
                 raise SystemExit("configuration key %r in %s has a value of the wrong type: %r"
                                  % (key, config_path, value))
+            if name == "stp" and value not in STP_CHOICES:
+                raise SystemExit("configuration key %r in %s is not one of %s: %r"
+                                 % (key, config_path, ", ".join(STP_CHOICES), value))
             setattr(cfg, name, value)
     for name in known:
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
+    # windows are whole milliseconds; NaN and infinity fail the comparison too
+    if not 0.5 < cfg.window_seconds * 1000.0 < float("inf"):
+        raise SystemExit("window_seconds must round to at least 1 ms, got %r"
+                         % (cfg.window_seconds,))
     return cfg
 
 
@@ -127,10 +134,12 @@ def _batches(path: str, window_seconds: float,
 def train_bundle(batches: Iterable[WindowBatch], source: str,
                  vae_epochs: Optional[int] = None) -> Tuple[ModelBundle, dict]:
     """Fit all five model artifacts from benign window batches."""
+    if vae_epochs is not None and vae_epochs < 0:
+        raise ValueError("epochs must be 0 or more, got %d" % vae_epochs)
     observations = []
     n_windows = 0
     for batch in batches:
-        g = build_window_graph(batch.events, batch.window_index)
+        g = build_window_graph(batch.events)
         observations.extend(window_process_features(g))
         n_windows += 1
     if not observations:
@@ -156,7 +165,7 @@ def train_bundle(batches: Iterable[WindowBatch], source: str,
     for name, vec in zip(names, vectors):
         history[name].append(vec)
 
-    vae_cfg = VaeConfig(epochs=vae_epochs) if vae_epochs else None
+    vae_cfg = VaeConfig(epochs=vae_epochs) if vae_epochs is not None else None
     vae = train_vae(vectors, vae_cfg)
     stability = build_stability_table(dict(history))
     errors = reconstruction_errors(vae, vectors)
@@ -230,7 +239,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     counters: Dict[str, int] = {}
     n_events = 0
     n_windows = 0
-    alert_paths: List[str] = []
     try:
         state = _fresh_state(cfg, bundle, store_dir)
         os.makedirs(args.out, exist_ok=True)
@@ -240,7 +248,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             n_events += len(batch.events)
             n_windows += 1
             for alert in process_window(batch, state):
-                alert_paths.extend(emit_alert(alert, args.out))
+                emit_alert(alert, args.out)
     except (OSError, ParseError) as exc:
         print("run failed: %s" % exc, file=sys.stderr)
         return 2

@@ -1,10 +1,10 @@
 """Per-window detection: hopset construction, cache maintenance, and
 iterated max-outlier testing over hopset anomaly scores.
 
-An alert is a flagged hopset, a compact connected subgraph with entity
-attributes resolved: its `cache.hopset_to_doc` document plus the alert's
-id, window index and Grubbs statistic, written as JSON plus DOT for quick
-triage.
+Every hopset leaves its builder complete, each edge with its op and each
+member with its entity attributes.  An alert is a flagged hopset: its
+`cache.hopset_to_doc` document plus the alert's id, window index and
+Grubbs statistic, written as JSON plus DOT for quick triage.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import math
 import os
 import statistics
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Set
@@ -76,10 +75,6 @@ def _sample_stdev(values: List[float]) -> float:
     return float(root << q) if q >= 0 else root / (1 << -q)
 
 
-if sys.version_info < (3, 11):  # stdev was not correctly rounded before 3.11
-    _sample_stdev = statistics.stdev  # noqa: F811
-
-
 def grubbs_outliers(values: List[float], alpha_g: float = DEFAULT_GRUBBS_ALPHA) -> List[int]:
     """Iteratively flag the sample maximum while it exceeds the critical
     value; returns original indices in removal order."""
@@ -133,7 +128,7 @@ class DetectorState:
 
 def steiner_window_hopsets(terminals: List[str], g: WindowGraph,
                            scores: Dict[str, float], p: IsgParams,
-                           window_index: int, algorithm: str) -> List[Hopset]:
+                           algorithm: str) -> List[Hopset]:
     """Baseline subgraph construction: a Steiner tree per terminal
     component instead of bounded neighborhoods, for run/bench ablation."""
     out: List[Hopset] = []
@@ -149,30 +144,11 @@ def steiner_window_hopsets(terminals: List[str], g: WindowGraph,
             members[n] = MemberRec(as_score=as_n, hops=hops[n],
                                    iv=importance(as_n, fanout(n, g), hops[n], p))
         hs = Hopset(terminals=set(terms), members=members,
-                    edges=dict.fromkeys(edges, ""), last_window=window_index)
+                    edges={e: g.first_op[e] for e in edges},
+                    attrs={n: g.nodes[n].doc() for n in members})
         hs.has = hopset_score(hs)
         out.append(hs)
     return out
-
-
-def _entity_doc(rec) -> dict:
-    """The kind and attrs fields of a node.  Attrs are slotted dataclasses
-    of str and int fields, so the values need no deep copy."""
-    attrs = rec.attrs
-    doc = {"kind": rec.kind}
-    for name in attrs.__slots__:
-        doc[name] = getattr(attrs, name)
-    return doc
-
-
-def _decorate_hopset(h: Hopset, g: WindowGraph):
-    for n in h.members:
-        rec = g.nodes.get(n)
-        if rec is not None:
-            h.attrs[n] = _entity_doc(rec)
-    for e, op in h.edges.items():
-        if not op:
-            h.edges[e] = g.first_op.get(e, "")
 
 
 def _alert_signature(h: Hopset) -> str:
@@ -182,7 +158,7 @@ def _alert_signature(h: Hopset) -> str:
 def process_window(batch: WindowBatch, st: DetectorState) -> List[dict]:
     """Run one detection pass over a sealed window of events; returns the
     documents of the alerts it fires."""
-    g = build_window_graph(batch.events, batch.window_index)
+    g = build_window_graph(batch.events)
     st.counters["illegal_pairs"] = st.counters.get("illegal_pairs", 0) + g.rejected
     if st.scorer is not None:
         scores, tau = st.scorer(g)
@@ -193,19 +169,16 @@ def process_window(batch: WindowBatch, st: DetectorState) -> List[dict]:
     st.counters["terminals"] = st.counters.get("terminals", 0) + len(terminals)
 
     if st.algorithm == "isg":
-        hopsets = [isg_hopset(t, g, scores, st.params, batch.window_index)
-                   for t in terminals]
+        hopsets = [isg_hopset(t, g, scores, st.params) for t in terminals]
     else:
-        hopsets = steiner_window_hopsets(terminals, g, scores, st.params,
-                                         batch.window_index, st.algorithm)
+        hopsets = steiner_window_hopsets(terminals, g, scores, st.params, st.algorithm)
     merged = merge_hopsets(hopsets, st.params.theta)
     for h in merged:
-        _decorate_hopset(h, g)
         for n in sorted(h.members):
             if lookup(st.cache, n)[1] == "restored":
                 st.counters["restored"] = st.counters.get("restored", 0) + 1
 
-    insert_or_merge(st.cache, merged, batch.window_index, st.params.theta)
+    insert_or_merge(st.cache, merged, st.params.theta)
     evicted = evict(st.cache)
     st.counters["evicted"] = st.counters.get("evicted", 0) + len(evicted)
 

@@ -311,6 +311,9 @@ def generate_scenario(name: str, seed: int,
     if name not in SCENARIOS:
         raise ValueError("unknown scenario %r, expected one of %s" % (name, list(SCENARIOS)))
     cfg = config or GenConfig()
+    if cfg.attack_start < 0 or cfg.stage_step < 1 or cfg.gap < 1:
+        raise ValueError("attack_start must be 0 or more and stage_step and gap 1 or more, "
+                         "got %d, %d and %d" % (cfg.attack_start, cfg.stage_step, cfg.gap))
     n_windows = int(cfg.duration / cfg.window_seconds)
     if n_windows < 1:
         raise ValueError("duration shorter than one window")

@@ -333,9 +333,9 @@ def window_stream(
     no event of window 1 or later has come.  An event earlier still is
     always more than one window late, and is dropped.
     """
-    if window_seconds <= 0:
-        raise ValueError("window_seconds must be positive")
     delta_ms = int(round(window_seconds * 1000.0))
+    if delta_ms < 1:
+        raise ValueError("window_seconds must be at least 1 ms, got %r" % (window_seconds,))
     start_ts: Optional[int] = None
     cur_index = 0
     prev_buf: List[RawEvent] = []  # window cur_index - 1, still open for late events

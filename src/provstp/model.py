@@ -103,19 +103,29 @@ class NodeRec:
     in_degree: int = 0
     out_degree: int = 0
 
+    def doc(self) -> dict:
+        """The kind and attrs fields of this node, as a hopset member's
+        attrs.  Attrs are slotted dataclasses of str and int fields, so the
+        values need no deep copy."""
+        doc = {"kind": self.kind}
+        for name in self.attrs.__slots__:
+            doc[name] = getattr(self.attrs, name)
+        return doc
+
 
 class WindowGraph:
     """One window of the event stream plus its undirected unit-weight view.
 
     The undirected adjacency collapses every (u, v) pair to a single edge
     of weight 1, and first_op keeps the op of the first event on each
-    pair, keyed by the pair in sorted order.  `edges`, each legal Edge's
-    event count, is read only by tests and by perfbench's traced
-    `model.edges` count.  Built single-threaded, then treated as read-only.
+    pair, keyed by the pair in sorted order.  A hopset built on the window
+    takes each edge's op from first_op and each member's attrs from
+    NodeRec.doc().  `edges`, each legal Edge's event count, is read only
+    by tests and by perfbench's traced `model.edges` count.  Built
+    single-threaded, then treated as read-only.
     """
 
-    def __init__(self, window_index: int = 0):
-        self.window_index = window_index
+    def __init__(self):
         self.nodes: Dict[str, NodeRec] = {}
         self.edges: Dict[Edge, int] = {}
         self.undirected: Dict[str, Set[str]] = {}
@@ -123,7 +133,7 @@ class WindowGraph:
         self.rejected = 0  # events whose op was illegal for the endpoint kinds
 
 
-def build_window_graph(events: Iterable, window_index: int = 0) -> WindowGraph:
+def build_window_graph(events: Iterable) -> WindowGraph:
     """Fold one window's events into a WindowGraph.
 
     Events whose op is illegal for their endpoint kinds are dropped and
@@ -131,7 +141,7 @@ def build_window_graph(events: Iterable, window_index: int = 0) -> WindowGraph:
     each distinct Edge once, in the order of its first event, gives what
     folding every event in order would.
     """
-    g = WindowGraph(window_index)
+    g = WindowGraph()
     nodes, undirected = g.nodes, g.undirected
     for edge, count in Counter(map(attrgetter("edge"), events)).items():
         (src_kind, _, src), (dst_kind, _, dst) = edge.src, edge.dst

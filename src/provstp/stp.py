@@ -2,10 +2,12 @@
 
 Each suspicious process (terminal) gets a hopset: the theta-bounded,
 importance-guided neighborhood that approximates its Steiner component
-online; `isg_hopset` reads the window graph.  The baselines (online
-greedy, Kou, Mehlhorn, listed in STEINER) and the brute-force optimum,
-for benchmarking and property tests, take a plain undirected adjacency,
-node -> set of neighbours, such as `WindowGraph.undirected`.
+online; `isg_hopset` reads the window graph and returns the hopset
+complete, each edge with its op and each member with its attrs.  The
+baselines (online greedy, Kou, Mehlhorn, listed in STEINER) and the
+brute-force optimum, for benchmarking and property tests, take a plain
+undirected adjacency, node -> set of neighbours, such as
+`WindowGraph.undirected`.
 """
 
 from __future__ import annotations
@@ -38,11 +40,10 @@ class MemberRec:
 class Hopset:
     terminals: Set[str]
     members: Dict[str, MemberRec]
-    edges: Dict[Pair, str]  # edge -> its op, "" until a window graph names it
+    edges: Dict[Pair, str]  # edge -> its first op in the window that built it
     has: float = 0.0
     age: int = 0
-    last_window: int = 0
-    attrs: Dict[str, dict] = field(default_factory=dict)
+    attrs: Dict[str, dict] = field(default_factory=dict)  # member -> NodeRec.doc()
 
 
 def hopset_id(h: Hopset) -> str:
@@ -66,8 +67,7 @@ def hopset_score(h: Hopset) -> float:
     return sum(rec.as_score for rec in h.members.values())
 
 
-def isg_hopset(t: str, g, scores: Dict[str, float], p: IsgParams,
-               window_index: int = 0) -> Hopset:
+def isg_hopset(t: str, g, scores: Dict[str, float], p: IsgParams) -> Hopset:
     """Best-first neighborhood expansion around terminal t.
 
     The frontier is a max-IV priority queue (hops frozen at enqueue
@@ -87,13 +87,14 @@ def isg_hopset(t: str, g, scores: Dict[str, float], p: IsgParams,
     while heap and len(members) < p.theta:
         neg_iv, node, par, hops = heapq.heappop(heap)
         members[node] = MemberRec(scores.get(node, 0.0), hops, -neg_iv)
-        edges[_pair(node, par)] = ""
+        e = _pair(node, par)
+        edges[e] = g.first_op[e]
         for nb in adj[node]:
             if nb not in seen:
                 seen.add(nb)
                 iv = importance(scores.get(nb, 0.0), fanout(nb, g), hops + 1, p)
                 heapq.heappush(heap, (-iv, nb, node, hops + 1))
-    h = Hopset({t}, members, edges, last_window=window_index)
+    h = Hopset({t}, members, edges, attrs={n: g.nodes[n].doc() for n in members})
     h.has = hopset_score(h)
     return h
 
@@ -185,21 +186,17 @@ def _union_group(group: List[Hopset], theta: int) -> Hopset:
     members: Dict[str, MemberRec] = {}
     edges: Dict[Pair, str] = {}
     attrs: Dict[str, dict] = {}
-    last_window = 0
     for h in group:
         terminals |= h.terminals
         for e, op in h.edges.items():
-            if not edges.get(e):  # the first non-empty op wins
-                edges[e] = op
-        last_window = max(last_window, h.last_window)
+            edges.setdefault(e, op)
         for n, rec in h.members.items():
             cur = members.get(n)
             if cur is None or (rec.iv, rec.as_score, -rec.hops) > (cur.iv, cur.as_score, -cur.hops):
                 members[n] = rec
         for n, a in h.attrs.items():
             attrs.setdefault(n, a)
-    merged = Hopset(terminals, members, edges, age=0, last_window=last_window,
-                    attrs=attrs)
+    merged = Hopset(terminals, members, edges, age=0, attrs=attrs)
     if len(merged.members) > theta * len(merged.terminals):
         _prune_to_bound(merged, theta * len(merged.terminals))
     merged.has = hopset_score(merged)
@@ -343,23 +340,15 @@ def mehlhorn_steiner(adj: Dict[str, Set[str]], terminals: Sequence[str]) -> Set[
             cand = (dist[u] + 1 + dist[v], u, v)
             if key not in best or cand < best[key]:
                 best[key] = cand
-    closure = [(float(w), key[0], key[1]) for key, (w, _, _) in
-               sorted(best.items(), key=lambda kv: kv[0])]
-    sets = _DisjointSets(terms)
-    nodes: Set[str] = set(terms)
-    picked = 0
-    for _, a, b in sorted(closure):
-        if not sets.union(a, b):
-            continue
-        picked += 1
-        _, u, v = best[_pair(a, b)]
-        for e in _walk_up(par, u) + _walk_up(par, v):
-            nodes.add(e[0])
-            nodes.add(e[1])
-        nodes.add(u)
-        nodes.add(v)
-    if picked != len(terms) - 1:
+    mst = _kruskal(terms, [(float(w), a, b) for (a, b), (w, _, _) in best.items()])
+    if len(mst) < len(terms) - 1:
         raise ValueError("terminals are not mutually reachable")
+    nodes: Set[str] = set(terms)
+    for key in mst:
+        _, u, v = best[key]
+        for e in _walk_up(par, u) + _walk_up(par, v):
+            nodes.update(e)
+        nodes.update((u, v))
     tree = _spanning_tree_of_subgraph(nodes, adj)
     return _prune_nonterminal_leaves(tree, set(terms))
 

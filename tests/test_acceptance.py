@@ -52,10 +52,14 @@ class Rec:
         self.in_degree = ind
         self.out_degree = outd
 
+    def doc(self):
+        return {"kind": "process"}
+
 
 class Graph:
     def __init__(self, adj, recs):
         self.undirected = adj
+        self.first_op = {(u, v): "read" for u in adj for v in adj[u] if u < v}
         self.nodes = recs
 
 
@@ -298,9 +302,10 @@ def random_hopset(rng, tag, n_members):
             iv=rng.uniform(0.0, 500.0))
     ids = sorted(members)
     edges = {(a, b): "read" for a, b in zip(ids, ids[1:])}
+    age = rng.randrange(0, 6)
+    rng.randrange(0, 100)  # once the last window; still drawn so the hopsets stay the same
     return Hopset(terminals={ids[0]}, members=members, edges=edges,
-                  has=sum(m.as_score for m in members.values()),
-                  age=rng.randrange(0, 6), last_window=rng.randrange(0, 100),
+                  has=sum(m.as_score for m in members.values()), age=age,
                   attrs={n: {"kind": "file", "path": "/x/" + n} for n in ids})
 
 

@@ -75,44 +75,48 @@ def test_energy_examples():
 
 def test_doc_round_trip_bit_exact(tmp_path):
     store = EvictionStore(str(tmp_path / "store"))
-    for attrs, ops in [
-        ({"t0": {"kind": "Process", "name": "sh"}}, {"f1": "write"}),
+    for attrs, ops, extra in [
+        ({"t0": {"kind": "Process", "name": "sh"}}, {"f1": "write"}, {}),
         # t0 and f2 without attrs, the edge to f2 without an op
-        ({"f1": {"kind": "File", "path": "/tmp/café"}}, {"f2": ""}),
+        ({"f1": {"kind": "File", "path": "/tmp/café"}}, {"f2": ""}, {}),
+        # a record written before records lost last_window: the key is ignored
+        ({"f2": {"kind": "File", "path": "/etc/x"}}, {}, {"last_window": 17}),
     ]:
         h = make_hopset("t0", {"f1": 0.1 + 0.2, "f2": -1.75}, attrs=attrs, ops=ops)
         h.age = 3
-        h.last_window = 17
-        back = store.load(store.store(h))
+        hid = store.store(h)
+        if extra:
+            with open(os.path.join(store.hopset_dir, hid + ".json"), "w", encoding="utf-8") as fh:
+                json.dump(dict(hopset_to_doc(h), age=h.age, **extra), fh)
+        back = store.load(hid)
         assert same_content(h, back)
-        assert back.age == 3 and back.last_window == 17
+        assert back.age == 3
         assert back.members["f1"].as_score == 0.1 + 0.2
 
 
 def test_insert_into_empty_cache(tmp_path):
     c = fresh_cache(tmp_path)
     h = make_hopset("t0", {"f1": 0.5})
-    insert_or_merge(c, [h], 4, THETA)
+    insert_or_merge(c, [h], THETA)
     assert len(c.entries) == 1
     entry = next(iter(c.entries.values()))
     assert entry.age == 0
-    assert entry.last_window == 4
     audit(c)
 
 
 def test_untouched_entries_age(tmp_path):
     c = fresh_cache(tmp_path)
-    insert_or_merge(c, [make_hopset("t0", {"f1": 0.5})], 0, THETA)
-    for w in (1, 2, 3):
-        insert_or_merge(c, [], w, THETA)
+    insert_or_merge(c, [make_hopset("t0", {"f1": 0.5})], THETA)
+    for _ in range(3):
+        insert_or_merge(c, [], THETA)
     entry = next(iter(c.entries.values()))
     assert entry.age == 3
 
 
 def test_incoming_merges_with_resident(tmp_path):
     c = fresh_cache(tmp_path)
-    insert_or_merge(c, [make_hopset("t0", {"shared": 0.5, "f1": 0.25})], 0, THETA)
-    insert_or_merge(c, [make_hopset("t1", {"shared": 0.5, "g1": 0.25})], 1, THETA)
+    insert_or_merge(c, [make_hopset("t0", {"shared": 0.5, "f1": 0.25})], THETA)
+    insert_or_merge(c, [make_hopset("t1", {"shared": 0.5, "g1": 0.25})], THETA)
     assert len(c.entries) == 1
     entry = next(iter(c.entries.values()))
     assert entry.terminals == {"t0", "t1"}
@@ -124,11 +128,11 @@ def test_incoming_merges_with_resident(tmp_path):
     # an incoming hopset that bridges two residents merges with both into one entry
     c = fresh_cache(tmp_path / "bridge")
     insert_or_merge(c, [make_hopset("t0", {"a": 0.5}), make_hopset("t1", {"b": 0.5}),
-                        make_hopset("t2", {"c": 0.5})], 0, THETA)
-    insert_or_merge(c, [make_hopset("t3", {"a": 0.25, "b": 0.25})], 1, THETA)
+                        make_hopset("t2", {"c": 0.5})], THETA)
+    insert_or_merge(c, [make_hopset("t3", {"a": 0.25, "b": 0.25})], THETA)
     merged = c.entries[c.node_index["t3"]]
     assert merged.terminals == {"t0", "t1", "t3"}
-    assert (merged.age, merged.last_window) == (0, 1)
+    assert merged.age == 0
     assert merged.has == pytest.approx(1.0 * 3 + 0.5 + 0.5)
     third = c.entries[c.node_index["t2"]]
     assert len(c.entries) == 2 and third.age == 1
@@ -137,8 +141,8 @@ def test_incoming_merges_with_resident(tmp_path):
 
 def test_disjoint_incoming_ages_resident(tmp_path):
     c = fresh_cache(tmp_path)
-    insert_or_merge(c, [make_hopset("t0", {"f1": 0.5})], 0, THETA)
-    insert_or_merge(c, [make_hopset("t1", {"g1": 0.5})], 1, THETA)
+    insert_or_merge(c, [make_hopset("t0", {"f1": 0.5})], THETA)
+    insert_or_merge(c, [make_hopset("t1", {"g1": 0.5})], THETA)
     ages = sorted(h.age for h in c.entries.values())
     assert ages == [0, 1]
     audit(c)
@@ -146,7 +150,7 @@ def test_disjoint_incoming_ages_resident(tmp_path):
 
 def test_evict_under_capacity_noop(tmp_path):
     c = fresh_cache(tmp_path, capacity=100)
-    insert_or_merge(c, [make_hopset("t0", {"f1": 0.5})], 0, THETA)
+    insert_or_merge(c, [make_hopset("t0", {"f1": 0.5})], THETA)
     assert evict(c) == []
     assert len(c.entries) == 1
 
@@ -157,7 +161,7 @@ def test_evict_lowest_energy(tmp_path):
     high = make_hopset("t1", {"g%d" % i: 1.6 for i in range(5)})  # has = 9
     assert low.has == pytest.approx(5.0)
     assert high.has == pytest.approx(9.0)
-    insert_or_merge(c, [low, high], 0, THETA)
+    insert_or_merge(c, [low, high], THETA)
     assert c.member_total() == 12
     gone = evict(c)
     assert gone == [hopset_id(low)]
@@ -173,8 +177,8 @@ def test_evict_then_lookup_restores_equal(tmp_path):
                     attrs={"f1": {"kind": "File", "path": "/tmp/x"}},
                     ops={"f2": "write"})
     original = copy.deepcopy(h)
-    insert_or_merge(c, [h], 0, THETA)
-    insert_or_merge(c, [], 1, THETA)
+    insert_or_merge(c, [h], THETA)
+    insert_or_merge(c, [], THETA)
     assert evict(c) == [hopset_id(h)]
     assert c.store.load(hopset_id(h)).age == 1
     assert c.entries == {}
@@ -196,7 +200,7 @@ def test_store_record_bytes_and_removing_a_missing_record(tmp_path):
     hid = store.store(h)
     want = tmp_path / "json_dump.json"
     with open(want, "w", encoding="utf-8") as fh:
-        record = dict(hopset_to_doc(h), age=h.age, last_window=h.last_window)
+        record = dict(hopset_to_doc(h), age=h.age)
         json.dump(record, fh, sort_keys=True, indent=2)
     with open(os.path.join(store.hopset_dir, hid + ".json"), "rb") as fh:
         assert fh.read() == want.read_bytes()
@@ -223,7 +227,7 @@ PAIR_EDGES_RECORD = dict(OLD_SHAPE_RECORD, members={
 def test_lookup_corrupted_record(tmp_path):
     c = fresh_cache(tmp_path, capacity=0)
     h = make_hopset("t0", {"f1": 0.5})
-    insert_or_merge(c, [h], 0, THETA)
+    insert_or_merge(c, [h], THETA)
     hid = evict(c)[0]
     path = os.path.join(c.store.hopset_dir, hid + ".json")
     for text in ["{not json", json.dumps(OLD_SHAPE_RECORD), json.dumps(PAIR_EDGES_RECORD)]:
@@ -235,7 +239,7 @@ def test_lookup_corrupted_record(tmp_path):
 
 def test_torn_record_raises_ioerror_on_reopen(tmp_path):
     c = fresh_cache(tmp_path, capacity=0)
-    insert_or_merge(c, [make_hopset("t0", {"f1": 0.5})], 0, THETA)
+    insert_or_merge(c, [make_hopset("t0", {"f1": 0.5})], THETA)
     hid = evict(c)[0]
     path = os.path.join(c.store.hopset_dir, hid + ".json")
     with open(path, "r+", encoding="utf-8") as fh:
@@ -322,7 +326,7 @@ def test_evict_ranks_residents_once(tmp_path, monkeypatch):
 def test_store_index_persists(tmp_path):
     c = fresh_cache(tmp_path, capacity=0)
     h = make_hopset("t0", {"f1": 0.5})
-    insert_or_merge(c, [h], 0, THETA)
+    insert_or_merge(c, [h], THETA)
     hid = evict(c)[0]
     assert os.listdir(c.store.hopset_dir) == [hid + ".json"]
     # a later store cut short before its rename leaves only the temp file
@@ -355,7 +359,7 @@ def test_node_index_audit_under_random_ops(tmp_path):
         for h in batch:
             for n in list(h.members):
                 got, _ = lookup(c, n)
-        insert_or_merge(c, batch, w, THETA)
+        insert_or_merge(c, batch, THETA)
         evict(c)
         audit(c)
         assert c.member_total() <= c.capacity
@@ -375,8 +379,8 @@ def test_ten_thousand_round_trips_stay_linear(tmp_path):
     hs = [make_hopset("t%05d" % i, {"t%05d-f%d" % (i, j): 0.5 for j in range(9)})
           for i in range(n)]
     started = time.perf_counter()
-    for i, h in enumerate(hs):
-        insert_or_merge(c, [h], i, THETA)
+    for h in hs:
+        insert_or_merge(c, [h], THETA)
         assert evict(c) == [hopset_id(h)]
     assert len(c.store.ids()) == n and len(c.node_index) == 10 * n
     for i, h in enumerate(hs):
@@ -404,7 +408,6 @@ class CacheMachine(RuleBasedStateMachine):
         super().__init__()
         self.root = tempfile.mkdtemp(prefix="cache-machine-")
         self.cache = self._open()
-        self.window = 0
         self.groups = {}  # hid -> (terminals, members)
         self.resident = set()
 
@@ -427,9 +430,8 @@ class CacheMachine(RuleBasedStateMachine):
         for h in batch:
             for n in sorted(h.members):
                 lookup(self.cache, n)
-        insert_or_merge(self.cache, batch, self.window, self.THETA)
+        insert_or_merge(self.cache, batch, self.THETA)
         evicted = evict(self.cache)
-        self.window += 1
 
         # reference: each incoming hopset absorbs every group it touches
         for h in incoming:

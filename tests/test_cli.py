@@ -100,6 +100,42 @@ def test_train_unwritable_model_dir_fails_cleanly(data_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_train_epochs_zero_trains_none_and_negative_fails(data_dir, tmp_path, capsys):
+    quiet = str(data_dir / "quiet" / "events.jsonl")
+    assert main(["train", "--input", quiet, "--model-dir", str(tmp_path / "m"),
+                 "--epochs", "0"]) == 0
+    with open(tmp_path / "m" / "vae.json", encoding="utf-8") as fh:
+        assert json.load(fh)["epoch_losses"] == []
+    capsys.readouterr()
+    assert main(["train", "--input", quiet, "--model-dir", str(tmp_path / "n"),
+                 "--epochs", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "train failed: epochs must be 0 or more, got -1\n"
+    assert not os.path.exists(tmp_path / "n")
+
+
+@pytest.mark.parametrize("command", ["run", "bench", "gen", "train"])
+def test_window_shorter_than_a_millisecond_is_refused(tmp_path, command):
+    """A window that rounds to 0 ms, from a flag or a config file, stops
+    every subcommand with one line naming the value."""
+    base = {"run": ["run", "--input", "x", "--out", str(tmp_path / "o")],
+            "bench": ["bench", "--input", "x"],
+            "gen": ["gen", "--scenario", "benign-only", "--seed", "1",
+                    "--out-dir", str(tmp_path / "g")],
+            "train": ["train", "--input", "x"]}[command]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"window_seconds": 1e-9}))
+    for extra, value in [(["--window-seconds", "0"], "0.0"),
+                         (["--window-seconds", "-1"], "-1.0"),
+                         (["--window-seconds", "nan"], "nan"),
+                         (["--config", str(cfg_path)], "1e-09")]:
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        msg = exc.value.code
+        assert isinstance(msg, str) and "\n" not in msg and msg.endswith(value)
+    assert not os.path.exists(tmp_path / "o") and not os.path.exists(tmp_path / "g")
+
+
 def test_train_reads_model_dir_from_config(data_dir, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"model_dir": str(tmp_path / "m")}))
@@ -371,6 +407,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ("epsilon", 1, True),  # an int is fine for a float field
     ("store_dir", None, True),
     ("stp", "kou", True),
+    ("stp", "bogus", False),  # a string, but no algorithm
 ])
 def test_config_file_values_must_fit_their_fields(tmp_path, key, value, ok):
     cfg_path = tmp_path / "cfg.json"

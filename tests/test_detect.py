@@ -18,10 +18,12 @@ from provstp.detect import (
     grubbs_critical,
     grubbs_outliers,
     process_window,
+    steiner_window_hopsets,
 )
 from provstp.ingest import WindowBatch
-from provstp.model import FILE, IP, PROCESS, FileAttrs, IpAttrs, ProcessAttrs
-from provstp.stp import Hopset, IsgParams, MemberRec
+from provstp.model import (FILE, IP, PROCESS, FileAttrs, IpAttrs, ProcessAttrs,
+                           build_window_graph, entity_uuid)
+from provstp.stp import STEINER, Hopset, IsgParams, MemberRec, isg_hopset
 from streams import event
 
 
@@ -249,6 +251,41 @@ def test_restored_hopset_links_stages(tmp_path, monkeypatch):
     assert len(merged[0].members) == 3
 
 
+def test_builders_return_complete_hopsets():
+    """isg and every baseline hand back each edge with the op of its first
+    event in the window and each member with its entity document."""
+    sh, cat, curl = proc(10, "sh"), proc(11, "cat"), proc(12, "curl", "curl -o /tmp/x")
+    passwd = FileAttrs(path="/etc/passwd", host="h1")
+    drop = FileAttrs(path="/tmp/x", host="h1")
+    sock = IpAttrs(src_ip="10.0.0.5", src_port=40000, dst_ip="10.0.0.9", dst_port=443)
+    g = build_window_graph([
+        ev(1, sh, "fork", cat, dst_kind=PROCESS),
+        ev(2, cat, "read", passwd),
+        ev(3, passwd, "write", cat, src_kind=FILE, dst_kind=PROCESS),  # same pair, later op
+        ev(4, sh, "fork", curl, dst_kind=PROCESS),
+        ev(5, curl, "recvfrom", sock, dst_kind=IP),
+        ev(6, curl, "write", drop),
+        ev(7, cat, "read", drop),
+    ])
+    scores = {n: float(i) for i, n in enumerate(sorted(g.nodes))}
+    terminals = sorted(n for n, rec in g.nodes.items() if rec.kind == PROCESS)
+    p = IsgParams(theta=4)
+    built = {"isg": [isg_hopset(t, g, scores, p) for t in terminals]}
+    for algo in STEINER:
+        built[algo] = steiner_window_hopsets(terminals, g, scores, p, algo)
+    for algo, hs in built.items():
+        assert hs and all(h.edges for h in hs), algo
+        for h in hs:
+            assert h.edges == {e: g.first_op[e] for e in h.edges}, algo
+            assert h.attrs == {n: g.nodes[n].doc() for n in h.members}, algo
+    cat_id = entity_uuid(PROCESS, cat)
+    pair = tuple(sorted((cat_id, entity_uuid(FILE, passwd))))
+    assert all(h.edges[pair] == "read" for h in built["isg"] if pair in h.edges)
+    assert any(pair in h.edges for h in built["isg"])
+    assert g.nodes[cat_id].doc() == {"kind": PROCESS, "pid": 11, "tid": 11, "uid": 1000,
+                                     "name": "cat", "cmdline": "cat", "host": "h1"}
+
+
 def sample_alert():
     h = Hopset({"p1"}, {
         "p1": MemberRec(2.5, 0, 250.0),
@@ -370,7 +407,7 @@ def test_alert_file_bytes_are_pinned(tmp_path, monkeypatch):
     })
     quiet = [Hopset({"q%d" % i}, {"q%d" % i: MemberRec(0.0, 0, 0.0)}, {}) for i in range(5)]
     st = make_state(tmp_path)
-    insert_or_merge(st.cache, [h] + quiet, 6, st.params.theta)
+    insert_or_merge(st.cache, [h] + quiet, st.params.theta)
     patch_scores(monkeypatch, {})
     alerts = process_window(window(7, []), st)
     assert len(alerts) == 1

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from provstp.cli import main
 from provstp.evalgen import (GenConfig, SCENARIOS, entity_id, evaluate,
                              generate_scenario, graph_metrics, node_metrics,
                              write_scenario)
@@ -28,6 +29,22 @@ def test_too_short_duration_raises():
         generate_scenario("benign-only", 1, GenConfig(duration=5.0))
     with pytest.raises(ValueError):
         generate_scenario("apt-webshell", 1, GenConfig(duration=60.0))
+
+
+def test_settings_that_cut_the_campaign_short_raise(tmp_path, capsys):
+    """Settings that would plant only part of the chain are refused, and gen exits 2."""
+    for name, kw, flag in [("apt-webshell", dict(stage_step=0), "--stage-step"),
+                           ("apt-webshell", dict(attack_start=-3), "--attack-start"),
+                           ("apt-long-gap", dict(gap=0), "--gap")]:
+        with pytest.raises(ValueError, match="attack_start"):
+            generate_scenario(name, 1, GenConfig(duration=300.0, **kw))
+        value = str(next(iter(kw.values())))
+        rc = main(["gen", "--scenario", name, "--seed", "1", "--duration", "300",
+                   "--out-dir", str(tmp_path / flag), flag, value])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("gen failed: ") and err.count("\n") == 1
+    generate_scenario("apt-webshell", 1, GenConfig(duration=300.0, attack_start=0,
+                                                   stage_step=1))
 
 
 def test_benign_only_event_count_and_labels():

@@ -28,14 +28,20 @@ class FakeRec:
         self.in_degree = ind
         self.out_degree = outd
 
+    def doc(self):
+        return {"kind": "process", "in": self.in_degree, "out": self.out_degree}
+
 
 class FakeGraph:
+    """A window graph's read surface: every pair's first op is "read"."""
+
     def __init__(self, pairs, recs=None):
         und = defaultdict(set)
         for u, v in pairs:
             und[u].add(v)
             und[v].add(u)
         self.undirected = dict(und)
+        self.first_op = {stp._pair(u, v): "read" for u, v in pairs}
         recs = recs or {}
         self.nodes = {n: recs.get(n, FakeRec()) for n in self.undirected}
 
@@ -116,7 +122,8 @@ def test_isg_chain_depth():
     assert set(h.members) == {"t", "a", "b"}
     assert h.members["a"].hops == 1
     assert h.members["b"].hops == 2
-    assert h.edges == {("a", "t"): "", ("a", "b"): ""}
+    assert h.edges == {("a", "t"): "read", ("a", "b"): "read"}
+    assert h.attrs == {n: g.nodes[n].doc() for n in ("t", "a", "b")}
     assert h.has == pytest.approx(5.0)
 
 

@@ -62,7 +62,7 @@ def _case(seed):
     for algo in ("greedy", "kou", "mehlhorn"):
         forest = steiner_forest(g.undirected, stream if algo == "greedy" else terms, algo)
         out[algo] = sorted(set().union(*(edges for _, edges in forest)))
-    window_hs = [steiner_window_hopsets(terms, g, scores, p, 3, algo)
+    window_hs = [steiner_window_hopsets(terms, g, scores, p, algo)
                  for algo in ("greedy", "kou", "mehlhorn")]
     out["window_hopsets"] = [[_doc(h) for h in hs] for hs in window_hs]
     # two windows' hopsets per terminal: a merged group keeps one terminal
