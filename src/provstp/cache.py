@@ -5,9 +5,10 @@ who gets evicted to disk when the member budget is exceeded.  Evicted
 hopsets come back through lookup() so long-running campaigns can be
 stitched together across large time gaps.
 
-`hopset_to_doc` is the one JSON form of a hopset.  A store record is that
-document plus the hopset's age; an alert (see `detect`) is it plus the
-alert's id, window index and Grubbs statistic.
+`hopset_to_doc` is the one JSON form of a hopset: each member's record,
+attrs included, and each edge's op.  A store record is that document plus
+the hopset's age; an alert (see `detect`) is it plus the alert's id,
+window index and Grubbs statistic.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ def energy(h: Hopset, epsilon: float) -> float:
 
 def hopset_to_doc(h: Hopset) -> dict:
     """{terminals, members: {n: {as, hops, iv, attrs}}, edges: [[u, v, op]],
-    has}, sorted, with {} for unknown attrs and "" for an unknown op."""
+    has}, sorted, with "" for an unknown op."""
     return {
         "terminals": sorted(h.terminals),
         "members": {n: {"as": rec.as_score, "hops": rec.hops, "iv": rec.iv,
-                        "attrs": h.attrs.get(n, {})}
+                        "attrs": rec.attrs}
                     for n, rec in sorted(h.members.items())},
         "edges": [[u, v, op] for (u, v), op in sorted(h.edges.items())],
         "has": h.has,
@@ -41,21 +42,15 @@ def hopset_to_doc(h: Hopset) -> dict:
 
 
 def hopset_from_doc(doc: dict) -> Hopset:
-    """The hopset of a store record: `hopset_to_doc` plus age.  Empty attrs
-    are dropped, so a round trip is exact; other keys are ignored."""
-    members = {}
-    attrs = {}
-    for n, rec in doc["members"].items():
-        members[n] = MemberRec(rec["as"], rec["hops"], rec["iv"])
-        if rec["attrs"]:
-            attrs[n] = rec["attrs"]
+    """The hopset of a store record: `hopset_to_doc` plus age; other keys
+    are ignored."""
     return Hopset(
         terminals=set(doc["terminals"]),
-        members=members,
+        members={n: MemberRec(rec["as"], rec["hops"], rec["iv"], rec["attrs"])
+                 for n, rec in doc["members"].items()},
         edges={(u, v): op for u, v, op in doc["edges"]},
         has=doc["has"],
         age=doc["age"],
-        attrs=attrs,
     )
 
 

@@ -119,10 +119,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for name in known:
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
-    # windows are whole milliseconds; NaN and infinity fail the comparison too
-    if not 0.5 < cfg.window_seconds * 1000.0 < float("inf"):
-        raise SystemExit("window_seconds must round to at least 1 ms, got %r"
-                         % (cfg.window_seconds,))
+    # windows are whole milliseconds; NaN fails every comparison
+    for name, ok, rule in [
+            ("window_seconds", 0.5 < cfg.window_seconds * 1000.0 < float("inf"),
+             "round to at least 1 ms"),
+            ("theta", cfg.theta >= 1, "be at least 1"),
+            ("cache_capacity", cfg.cache_capacity >= 0, "be 0 or more"),
+            ("grubbs_alpha", 0.0 < cfg.grubbs_alpha < 1.0, "lie strictly between 0 and 1")]:
+        if not ok:
+            raise SystemExit("%s must %s, got %r" % (name, rule, getattr(cfg, name)))
     return cfg
 
 
@@ -304,10 +309,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print("cannot read truth file: %s" % exc, file=sys.stderr)
         return 2
+    if not os.path.isdir(args.alerts):
+        print("eval failed: no alert directory %s" % args.alerts, file=sys.stderr)
+        return 2
     alerts = []
     for path in sorted(glob.glob(os.path.join(args.alerts, "alert-*.json"))):
-        with open(path, "r", encoding="utf-8") as fh:
-            alerts.append(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                alerts.append(json.load(fh))
+        except (OSError, ValueError) as exc:
+            print("eval failed: %s: %s" % (path, exc), file=sys.stderr)
+            return 2
     print(json.dumps(evaluate(alerts, truth), sort_keys=True))
     return 0
 

@@ -1,7 +1,8 @@
 """Per-window detection: hopset construction, cache maintenance, and
 iterated max-outlier testing over hopset anomaly scores.
 
-Every hopset leaves its builder complete, each edge with its op and each
+Every hopset leaves its builder (`stp.isg_hopset` or a baseline's
+`stp.steiner_window_hopsets`) complete, each edge with its op and each
 member with its entity attributes.  An alert is a flagged hopset: its
 `cache.hopset_to_doc` document plus the alert's id, window index and
 Grubbs statistic, written as JSON plus DOT for quick triage.
@@ -22,9 +23,8 @@ from . import grubbs_table
 from .anomaly import ModelBundle, score_processes
 from .cache import CacheState, evict, hopset_to_doc, insert_or_merge, lookup
 from .ingest import WindowBatch
-from .model import FILE, IP, PROCESS, WindowGraph, build_window_graph
-from .stp import (Hopset, IsgParams, MemberRec, bfs, fanout, hopset_score,
-                  importance, isg_hopset, merge_hopsets, steiner_forest)
+from .model import FILE, IP, PROCESS, build_window_graph
+from .stp import Hopset, IsgParams, isg_hopset, merge_hopsets, steiner_window_hopsets
 
 DEFAULT_GRUBBS_ALPHA = 0.05
 MIN_GRUBBS_POPULATION = 3
@@ -124,31 +124,6 @@ class DetectorState:
     scorer: Optional[object] = None
     emitted: Set[str] = field(default_factory=set)
     counters: Dict[str, int] = field(default_factory=dict)
-
-
-def steiner_window_hopsets(terminals: List[str], g: WindowGraph,
-                           scores: Dict[str, float], p: IsgParams,
-                           algorithm: str) -> List[Hopset]:
-    """Baseline subgraph construction: a Steiner tree per terminal
-    component instead of bounded neighborhoods, for run/bench ablation."""
-    out: List[Hopset] = []
-    for terms, edges in steiner_forest(g.undirected, terminals, algorithm):
-        adj: Dict[str, Set[str]] = {t: set() for t in terms}
-        for u, v in edges:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        hops = bfs(adj, terms)[0]
-        members = {}
-        for n in sorted(adj):
-            as_n = scores.get(n, 0.0)
-            members[n] = MemberRec(as_score=as_n, hops=hops[n],
-                                   iv=importance(as_n, fanout(n, g), hops[n], p))
-        hs = Hopset(terminals=set(terms), members=members,
-                    edges={e: g.first_op[e] for e in edges},
-                    attrs={n: g.nodes[n].doc() for n in members})
-        hs.has = hopset_score(hs)
-        out.append(hs)
-    return out
 
 
 def _alert_signature(h: Hopset) -> str:

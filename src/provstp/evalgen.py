@@ -314,6 +314,8 @@ def generate_scenario(name: str, seed: int,
     if cfg.attack_start < 0 or cfg.stage_step < 1 or cfg.gap < 1:
         raise ValueError("attack_start must be 0 or more and stage_step and gap 1 or more, "
                          "got %d, %d and %d" % (cfg.attack_start, cfg.stage_step, cfg.gap))
+    if cfg.hosts < 1:
+        raise ValueError("hosts must be 1 or more, got %d" % cfg.hosts)
     n_windows = int(cfg.duration / cfg.window_seconds)
     if n_windows < 1:
         raise ValueError("duration shorter than one window")
@@ -349,6 +351,9 @@ def generate_scenario(name: str, seed: int,
             benign = host_tpl.interactions(w)
             attack = stages.get(w, []) if host_tpl is hosts[0] else []
             distinct = benign + attack
+            if attack and len(distinct) > per_window:
+                raise ValueError("scenario %s needs %d events in window %d, the rate allows %d"
+                                 % (name, len(distinct), w, per_window))
             chosen = list(distinct)
             while len(chosen) < per_window:
                 chosen.append(benign[rng.randrange(len(benign))])

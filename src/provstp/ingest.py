@@ -333,9 +333,10 @@ def window_stream(
     no event of window 1 or later has come.  An event earlier still is
     always more than one window late, and is dropped.
     """
-    delta_ms = int(round(window_seconds * 1000.0))
-    if delta_ms < 1:
+    # a window rounds to whole milliseconds; NaN fails the comparison too
+    if not 0.5 < window_seconds * 1000.0 < float("inf"):
         raise ValueError("window_seconds must be at least 1 ms, got %r" % (window_seconds,))
+    delta_ms = int(round(window_seconds * 1000.0))
     start_ts: Optional[int] = None
     cur_index = 0
     prev_buf: List[RawEvent] = []  # window cur_index - 1, still open for late events

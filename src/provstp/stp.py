@@ -2,12 +2,13 @@
 
 Each suspicious process (terminal) gets a hopset: the theta-bounded,
 importance-guided neighborhood that approximates its Steiner component
-online; `isg_hopset` reads the window graph and returns the hopset
-complete, each edge with its op and each member with its attrs.  The
-baselines (online greedy, Kou, Mehlhorn, listed in STEINER) and the
-brute-force optimum, for benchmarking and property tests, take a plain
-undirected adjacency, node -> set of neighbours, such as
-`WindowGraph.undirected`.
+online.  The baselines (online greedy, Kou, Mehlhorn, listed in STEINER)
+take a plain undirected adjacency, node -> set of neighbours, such as
+`WindowGraph.undirected`; `steiner_window_hopsets` runs one per terminal
+component of a window.  Both window builders, `isg_hopset` and
+`steiner_window_hopsets`, pick the members and edges and leave the hopset
+itself to `window_hopset`, which reads the window graph for every
+member's attrs and every edge's op.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ class MemberRec:
     as_score: float
     hops: int
     iv: float
+    attrs: dict = field(default_factory=dict)  # the member's NodeRec.doc()
 
 
 @dataclass
@@ -43,7 +45,6 @@ class Hopset:
     edges: Dict[Pair, str]  # edge -> its first op in the window that built it
     has: float = 0.0
     age: int = 0
-    attrs: Dict[str, dict] = field(default_factory=dict)  # member -> NodeRec.doc()
 
 
 def hopset_id(h: Hopset) -> str:
@@ -67,6 +68,20 @@ def hopset_score(h: Hopset) -> float:
     return sum(rec.as_score for rec in h.members.values())
 
 
+def window_hopset(terminals: Iterable[str], g, scores: Dict[str, float], p: IsgParams,
+                  hops: Dict[str, int], edges: Iterable[Pair]) -> Hopset:
+    """The hopset of window graph g over these terminals: a member per
+    entry of hops (node -> hops from a terminal, in member order) with
+    its score, IV and attrs, and each edge with its first op in g."""
+    members = {}
+    for n, k in hops.items():
+        as_n = scores.get(n, 0.0)
+        members[n] = MemberRec(as_n, k, importance(as_n, fanout(n, g), k, p), g.nodes[n].doc())
+    h = Hopset(set(terminals), members, {e: g.first_op[e] for e in edges})
+    h.has = hopset_score(h)
+    return h
+
+
 def isg_hopset(t: str, g, scores: Dict[str, float], p: IsgParams) -> Hopset:
     """Best-first neighborhood expansion around terminal t.
 
@@ -75,28 +90,24 @@ def isg_hopset(t: str, g, scores: Dict[str, float], p: IsgParams) -> Hopset:
     nodes are discovered, the terminal included.
     """
     adj = g.undirected
-    iv_t = importance(scores.get(t, 0.0), fanout(t, g), 0, p)
-    members = {t: MemberRec(scores.get(t, 0.0), 0, iv_t)}
-    edges: Dict[Pair, str] = {}
+    hops = {t: 0}
+    edges: List[Pair] = []
     heap: List[Tuple[float, str, str, int]] = []
     seen = {t}
     for nb in adj[t]:
         iv = importance(scores.get(nb, 0.0), fanout(nb, g), 1, p)
         heapq.heappush(heap, (-iv, nb, t, 1))
         seen.add(nb)
-    while heap and len(members) < p.theta:
-        neg_iv, node, par, hops = heapq.heappop(heap)
-        members[node] = MemberRec(scores.get(node, 0.0), hops, -neg_iv)
-        e = _pair(node, par)
-        edges[e] = g.first_op[e]
+    while heap and len(hops) < p.theta:
+        _, node, par, k = heapq.heappop(heap)
+        hops[node] = k
+        edges.append(_pair(node, par))
         for nb in adj[node]:
             if nb not in seen:
                 seen.add(nb)
-                iv = importance(scores.get(nb, 0.0), fanout(nb, g), hops + 1, p)
-                heapq.heappush(heap, (-iv, nb, node, hops + 1))
-    h = Hopset({t}, members, edges, attrs={n: g.nodes[n].doc() for n in members})
-    h.has = hopset_score(h)
-    return h
+                iv = importance(scores.get(nb, 0.0), fanout(nb, g), k + 1, p)
+                heapq.heappush(heap, (-iv, nb, node, k + 1))
+    return window_hopset((t,), g, scores, p, hops, edges)
 
 
 class _DisjointSets:
@@ -178,25 +189,24 @@ def _prune_to_bound(h: Hopset, bound: int):
     # a kept node's parent is kept, so its traversal edge survives here
     h.members = {n: rec for n, rec in h.members.items() if n in kept}
     h.edges = {e: op for e, op in h.edges.items() if e[0] in kept and e[1] in kept}
-    h.attrs = {n: a for n, a in h.attrs.items() if n in kept}
 
 
 def _union_group(group: List[Hopset], theta: int) -> Hopset:
     terminals: Set[str] = set()
     members: Dict[str, MemberRec] = {}
     edges: Dict[Pair, str] = {}
-    attrs: Dict[str, dict] = {}
     for h in group:
         terminals |= h.terminals
         for e, op in h.edges.items():
             edges.setdefault(e, op)
         for n, rec in h.members.items():
             cur = members.get(n)
-            if cur is None or (rec.iv, rec.as_score, -rec.hops) > (cur.iv, cur.as_score, -cur.hops):
+            if cur is None:
                 members[n] = rec
-        for n, a in h.attrs.items():
-            attrs.setdefault(n, a)
-    merged = Hopset(terminals, members, edges, age=0, attrs=attrs)
+            elif (rec.iv, rec.as_score, -rec.hops) > (cur.iv, cur.as_score, -cur.hops):
+                # the better record, with the first attrs seen for n
+                members[n] = MemberRec(rec.as_score, rec.hops, rec.iv, cur.attrs)
+    merged = Hopset(terminals, members, edges)
     if len(merged.members) > theta * len(merged.terminals):
         _prune_to_bound(merged, theta * len(merged.terminals))
     merged.has = hopset_score(merged)
@@ -206,11 +216,9 @@ def _union_group(group: List[Hopset], theta: int) -> Hopset:
 def merge_hopsets(hs: List[Hopset], theta: int) -> List[Hopset]:
     """Union hopsets that share members, then enforce the theta cap.
 
-    Disjoint hopsets pass through unchanged; connectivity after pruning
+    Disjoint hopsets pass through as built; connectivity after pruning
     is preserved by keeping each surviving member's traversal edge.
     """
-    if not hs:
-        return []
     sets = _DisjointSets(range(len(hs)))
     owner: Dict[str, int] = {}
     for i, h in enumerate(hs):
@@ -220,23 +228,10 @@ def merge_hopsets(hs: List[Hopset], theta: int) -> List[Hopset]:
             else:
                 owner[n] = i
     groups: Dict[int, List[Hopset]] = {}
-    order: List[int] = []
     for i, h in enumerate(hs):
-        r = sets.find(i)
-        if r not in groups:
-            groups[r] = []
-            order.append(r)
-        groups[r].append(h)
-    out = []
-    for r in order:
-        group = groups[r]
-        if len(group) == 1:
-            h = group[0]
-            h.has = hopset_score(h)
-            out.append(h)
-        else:
-            out.append(_union_group(group, theta))
-    return out
+        groups.setdefault(sets.find(i), []).append(h)
+    return [group[0] if len(group) == 1 else _union_group(group, theta)
+            for group in groups.values()]
 
 
 def _walk_up(par: Dict[str, Optional[str]], node: str) -> List[Pair]:
@@ -353,30 +348,6 @@ def mehlhorn_steiner(adj: Dict[str, Set[str]], terminals: Sequence[str]) -> Set[
     return _prune_nonterminal_leaves(tree, set(terms))
 
 
-def optimal_steiner_bruteforce(adj: Dict[str, Set[str]], terminals: Sequence[str]) -> Set[Pair]:
-    """Exhaustive minimum Steiner tree for unit weights on <= 12 nodes."""
-    terms = sorted(set(terminals))
-    all_nodes = sorted(adj)
-    if len(all_nodes) > 12:
-        raise ValueError("brute force capped at 12 nodes")
-    extras = [n for n in all_nodes if n not in terms]
-    best_nodes: Optional[Set[str]] = None
-    for mask in range(1 << len(extras)):
-        cand = set(terms)
-        for i, n in enumerate(extras):
-            if mask >> i & 1:
-                cand.add(n)
-        if best_nodes is not None and len(cand) >= len(best_nodes):
-            continue
-        # connected over cand and covering all terminals?
-        seen = bfs({n: adj[n] & cand for n in cand}, [terms[0]])[0]
-        if seen.keys() == cand:
-            best_nodes = cand
-    if best_nodes is None:
-        raise ValueError("terminals are disconnected")
-    return _spanning_tree_of_subgraph(best_nodes, adj)
-
-
 STEINER = {"greedy": greedy_online_stp, "kou": kou_steiner, "mehlhorn": mehlhorn_steiner}
 
 
@@ -398,4 +369,19 @@ def steiner_forest(adj: Dict[str, Set[str]], terminals: Sequence[str],
         comp = sorted(pending.intersection(bfs(adj, [t])[0]))
         pending.difference_update(comp)
         out.append((comp, build(adj, comp) if len(comp) >= 2 else set()))
+    return out
+
+
+def steiner_window_hopsets(terminals: List[str], g, scores: Dict[str, float],
+                           p: IsgParams, algorithm: str) -> List[Hopset]:
+    """Baseline subgraph construction: a Steiner tree per terminal
+    component instead of bounded neighborhoods, for run/bench ablation."""
+    out: List[Hopset] = []
+    for terms, edges in steiner_forest(g.undirected, terminals, algorithm):
+        adj: Dict[str, Set[str]] = {t: set() for t in terms}
+        for u, v in edges:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        hops = bfs(adj, terms)[0]
+        out.append(window_hopset(terms, g, scores, p, {n: hops[n] for n in sorted(adj)}, edges))
     return out

@@ -34,10 +34,10 @@ from provstp.stp import (
     kou_steiner,
     mehlhorn_steiner,
     merge_hopsets,
-    optimal_steiner_bruteforce,
 )
 from streams import write_chain_stream
 from test_anomaly import _normalize, oracle_dbscan
+from test_stp import optimal_steiner_bruteforce
 
 ATTACK_SEEDS = (41, 42, 43)
 PUBLISHED_G = {3: 1.15, 10: 2.18, 20: 2.557, 50: 2.956}
@@ -297,16 +297,16 @@ def test_criterion_07_long_gap_linkage_under_eviction(work_root, model_dir):
 def random_hopset(rng, tag, n_members):
     members = {}
     for i in range(n_members):
-        members["%s-n%d" % (tag, i)] = MemberRec(
+        n = "%s-n%d" % (tag, i)
+        members[n] = MemberRec(
             as_score=rng.uniform(0.0, 8.0), hops=rng.randrange(0, 10),
-            iv=rng.uniform(0.0, 500.0))
+            iv=rng.uniform(0.0, 500.0), attrs={"kind": "file", "path": "/x/" + n})
     ids = sorted(members)
     edges = {(a, b): "read" for a, b in zip(ids, ids[1:])}
     age = rng.randrange(0, 6)
     rng.randrange(0, 100)  # once the last window; still drawn so the hopsets stay the same
     return Hopset(terminals={ids[0]}, members=members, edges=edges,
-                  has=sum(m.as_score for m in members.values()), age=age,
-                  attrs={n: {"kind": "file", "path": "/x/" + n} for n in ids})
+                  has=sum(m.as_score for m in members.values()), age=age)
 
 
 def test_criterion_08_cache_roundtrip_and_eviction_order():

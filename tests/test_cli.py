@@ -136,6 +136,25 @@ def test_window_shorter_than_a_millisecond_is_refused(tmp_path, command):
     assert not os.path.exists(tmp_path / "o") and not os.path.exists(tmp_path / "g")
 
 
+@pytest.mark.parametrize("key,value", [
+    ("theta", 0), ("theta", -2), ("cache_capacity", -1), ("grubbs_alpha", 1.5),
+    ("grubbs_alpha", 0.0), ("grubbs_alpha", 1.0), ("grubbs_alpha", float("nan"))])
+def test_out_of_range_pipeline_values_are_refused(tmp_path, key, value):
+    """theta below 1, a negative cache capacity and a Grubbs alpha outside
+    (0, 1), from a flag or a config file, stop run with one line naming
+    the value."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    base = ["run", "--input", "x", "--out", str(tmp_path / "o")]
+    for extra in (["--" + key.replace("_", "-"), repr(value)], ["--config", str(cfg_path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        msg = exc.value.code
+        assert isinstance(msg, str) and "\n" not in msg
+        assert msg.startswith(key + " must ") and msg.endswith(repr(value))
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_train_reads_model_dir_from_config(data_dir, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"model_dir": str(tmp_path / "m")}))
@@ -312,6 +331,20 @@ def test_eval_reports_four_metrics(data_dir, model_dir, tmp_path, capsys):
     assert doc["graph_recall"] == 1.0
 
 
+def test_eval_missing_or_unparsable_alerts_fail_cleanly(data_dir, tmp_path, capsys):
+    truth = str(data_dir / "webshell" / "truth.json")
+    missing = tmp_path / "missing"
+    assert main(["eval", "--alerts", str(missing), "--truth", truth]) == 2
+    assert capsys.readouterr().err == "eval failed: no alert directory %s\n" % missing
+    alerts = tmp_path / "alerts"
+    alerts.mkdir()
+    (alerts / "alert-000001-abc.json").write_text("{not json")
+    assert main(["eval", "--alerts", str(alerts), "--truth", truth]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("eval failed: %s: " % (alerts / "alert-000001-abc.json"))
+
+
 def test_bench_fields_and_stp_ordering(tmp_path, capsys):
     stream = tmp_path / "wide.jsonl"
     n = write_chain_stream(str(stream), windows=4, procs=1000, private_files=1)
@@ -408,6 +441,9 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ("store_dir", None, True),
     ("stp", "kou", True),
     ("stp", "bogus", False),  # a string, but no algorithm
+    ("theta", 1, True),  # at the edge of each checked range
+    ("cache_capacity", 0, True),
+    ("grubbs_alpha", 0.999, True),
 ])
 def test_config_file_values_must_fit_their_fields(tmp_path, key, value, ok):
     cfg_path = tmp_path / "cfg.json"

@@ -18,12 +18,12 @@ from provstp.detect import (
     grubbs_critical,
     grubbs_outliers,
     process_window,
-    steiner_window_hopsets,
 )
 from provstp.ingest import WindowBatch
 from provstp.model import (FILE, IP, PROCESS, FileAttrs, IpAttrs, ProcessAttrs,
                            build_window_graph, entity_uuid)
-from provstp.stp import STEINER, Hopset, IsgParams, MemberRec, isg_hopset
+from provstp.stp import (STEINER, Hopset, IsgParams, MemberRec, isg_hopset,
+                         steiner_window_hopsets)
 from streams import event
 
 
@@ -244,9 +244,9 @@ def test_restored_hopset_links_stages(tmp_path, monkeypatch):
     process_window(benign_window(5, "evil", 666, "/tmp/stage2"), st)
     assert st.counters.get("restored", 0) == 1
     merged = [h for h in st.cache.entries.values()
-              if any(a.get("path") == "/tmp/stage1" for a in h.attrs.values())]
+              if any(r.attrs.get("path") == "/tmp/stage1" for r in h.members.values())]
     assert merged
-    paths = {a.get("path") for a in merged[0].attrs.values() if "path" in a}
+    paths = {r.attrs["path"] for r in merged[0].members.values() if "path" in r.attrs}
     assert {"/tmp/stage1", "/tmp/stage2"} <= paths
     assert len(merged[0].members) == 3
 
@@ -277,7 +277,7 @@ def test_builders_return_complete_hopsets():
         assert hs and all(h.edges for h in hs), algo
         for h in hs:
             assert h.edges == {e: g.first_op[e] for e in h.edges}, algo
-            assert h.attrs == {n: g.nodes[n].doc() for n in h.members}, algo
+            assert all(rec.attrs == g.nodes[n].doc() for n, rec in h.members.items()), algo
     cat_id = entity_uuid(PROCESS, cat)
     pair = tuple(sorted((cat_id, entity_uuid(FILE, passwd))))
     assert all(h.edges[pair] == "read" for h in built["isg"] if pair in h.edges)
@@ -288,14 +288,10 @@ def test_builders_return_complete_hopsets():
 
 def sample_alert():
     h = Hopset({"p1"}, {
-        "p1": MemberRec(2.5, 0, 250.0),
-        "f1": MemberRec(0.0, 1, 1.0),
-        "n1": MemberRec(0.0, 1, 0.5),
-    }, {("f1", "p1"): "write", ("n1", "p1"): "sendto"}, has=2.5, attrs={
-        "p1": {"kind": "process", "name": "sh", "cmdline": "sh -c x"},
-        "f1": {"kind": "file", "path": "/tmp/x \"quoted\""},
-        "n1": {"kind": "ip", "dst_ip": "10.0.0.9", "dst_port": 443},
-    })
+        "p1": MemberRec(2.5, 0, 250.0, {"kind": "process", "name": "sh", "cmdline": "sh -c x"}),
+        "f1": MemberRec(0.0, 1, 1.0, {"kind": "file", "path": "/tmp/x \"quoted\""}),
+        "n1": MemberRec(0.0, 1, 0.5, {"kind": "ip", "dst_ip": "10.0.0.9", "dst_port": 443}),
+    }, {("f1", "p1"): "write", ("n1", "p1"): "sendto"}, has=2.5)
     return dict(hopset_to_doc(h), id="000003-abcdef012345", window_index=3,
                 grubbs_statistic=3.1)
 
@@ -397,14 +393,13 @@ def test_alert_file_bytes_are_pinned(tmp_path, monkeypatch):
     non-ASCII path and a score of 0.1 + 0.2, alerted on beside five
     zero-score residents, gives these exact alert files."""
     h = Hopset({"p1"}, {
-        "p1": MemberRec(0.1 + 0.2, 0, 30.1),
-        "f1": MemberRec(0.0, 1, 0.9),
+        "p1": MemberRec(0.1 + 0.2, 0, 30.1, {
+            "kind": "process", "pid": 4242, "tid": 4242, "uid": 0, "name": "sh",
+            "cmdline": 'sh -c "x"', "host": "h1"}),
+        "f1": MemberRec(0.0, 1, 0.9, {"kind": "file", "path": "/tmp/café/naïve ☃.txt",
+                                      "host": "h1"}),
         "u1": MemberRec(0.0, 2, 0.81),
-    }, {("f1", "p1"): "write", ("f1", "u1"): ""}, has=0.1 + 0.2, attrs={
-        "p1": {"kind": "process", "pid": 4242, "tid": 4242, "uid": 0, "name": "sh",
-               "cmdline": 'sh -c "x"', "host": "h1"},
-        "f1": {"kind": "file", "path": "/tmp/café/naïve ☃.txt", "host": "h1"},
-    })
+    }, {("f1", "p1"): "write", ("f1", "u1"): ""}, has=0.1 + 0.2)
     quiet = [Hopset({"q%d" % i}, {"q%d" % i: MemberRec(0.0, 0, 0.0)}, {}) for i in range(5)]
     st = make_state(tmp_path)
     insert_or_merge(st.cache, [h] + quiet, st.params.theta)

@@ -32,11 +32,17 @@ def test_too_short_duration_raises():
 
 
 def test_settings_that_cut_the_campaign_short_raise(tmp_path, capsys):
-    """Settings that would plant only part of the chain are refused, and gen exits 2."""
-    for name, kw, flag in [("apt-webshell", dict(stage_step=0), "--stage-step"),
-                           ("apt-webshell", dict(attack_start=-3), "--attack-start"),
-                           ("apt-long-gap", dict(gap=0), "--gap")]:
-        with pytest.raises(ValueError, match="attack_start"):
+    """Settings that would plant only part of the chain, or no events at
+    all, are refused, and gen exits 2."""
+    for name, kw, flag, match in [
+            ("apt-webshell", dict(stage_step=0), "--stage-step", "attack_start"),
+            ("apt-webshell", dict(attack_start=-3), "--attack-start", "attack_start"),
+            ("apt-long-gap", dict(gap=0), "--gap", "attack_start"),
+            # 10 events a window leave no room for a stage beside the benign ones
+            ("apt-webshell", dict(rate=1.0), "--rate", "the rate allows 10$"),
+            ("apt-webshell", dict(hosts=0), "--hosts", "hosts must be 1 or more"),
+            ("benign-only", dict(hosts=0), "--hosts", "hosts must be 1 or more")]:
+        with pytest.raises(ValueError, match=match):
             generate_scenario(name, 1, GenConfig(duration=300.0, **kw))
         value = str(next(iter(kw.values())))
         rc = main(["gen", "--scenario", name, "--seed", "1", "--duration", "300",

@@ -190,7 +190,7 @@ def test_read_events_parse_error_carries_line_number(tmp_path):
 
 def test_window_seconds_must_be_positive():
     # windows are whole milliseconds: one that rounds to 0 ms is no window
-    for seconds in (0, -1.0, 1e-9, 0.0005):
+    for seconds in (0, -1.0, 1e-9, 0.0005, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="at least 1 ms"):
             list(window_stream(_events([0]), seconds))
     assert len(list(window_stream(_events([0, 1, 2]), 0.0006))) == 3  # 1 ms each

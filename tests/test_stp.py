@@ -18,7 +18,6 @@ from provstp.stp import (
     kou_steiner,
     mehlhorn_steiner,
     merge_hopsets,
-    optimal_steiner_bruteforce,
     steiner_forest,
 )
 
@@ -44,6 +43,31 @@ class FakeGraph:
         self.first_op = {stp._pair(u, v): "read" for u, v in pairs}
         recs = recs or {}
         self.nodes = {n: recs.get(n, FakeRec()) for n in self.undirected}
+
+
+def optimal_steiner_bruteforce(adj, terminals):
+    """Exhaustive minimum Steiner tree for unit weights on <= 12 nodes: the
+    oracle the Kou, Mehlhorn and greedy baselines are measured against."""
+    terms = sorted(set(terminals))
+    all_nodes = sorted(adj)
+    if len(all_nodes) > 12:
+        raise ValueError("brute force capped at 12 nodes")
+    extras = [n for n in all_nodes if n not in terms]
+    best_nodes = None
+    for mask in range(1 << len(extras)):
+        cand = set(terms)
+        for i, n in enumerate(extras):
+            if mask >> i & 1:
+                cand.add(n)
+        if best_nodes is not None and len(cand) >= len(best_nodes):
+            continue
+        # connected over cand and covering all terminals?
+        seen = stp.bfs({n: adj[n] & cand for n in cand}, [terms[0]])[0]
+        if seen.keys() == cand:
+            best_nodes = cand
+    if best_nodes is None:
+        raise ValueError("terminals are disconnected")
+    return stp._spanning_tree_of_subgraph(best_nodes, adj)
 
 
 def random_adjacency(rng, n):
@@ -123,7 +147,8 @@ def test_isg_chain_depth():
     assert h.members["a"].hops == 1
     assert h.members["b"].hops == 2
     assert h.edges == {("a", "t"): "read", ("a", "b"): "read"}
-    assert h.attrs == {n: g.nodes[n].doc() for n in ("t", "a", "b")}
+    assert {n: rec.attrs for n, rec in h.members.items()} == {
+        n: g.nodes[n].doc() for n in ("t", "a", "b")}
     assert h.has == pytest.approx(5.0)
 
 
@@ -229,6 +254,21 @@ def test_merge_keeps_max_iv_record():
     out = merge_hopsets([a, b], theta=10)
     assert out[0].members["s"].iv == 11.0
     assert out[0].members["s"].hops == 2
+
+
+def test_merge_keeps_first_attrs_with_the_better_record():
+    a = Hopset({"ta"}, {
+        "ta": MemberRec(1.0, 0, 100.0, {"kind": "process", "name": "a"}),
+        "s": MemberRec(0.5, 1, 7.0, {"kind": "file", "path": "/first"}),
+    }, {("s", "ta"): "read"})
+    b = Hopset({"tb"}, {
+        "tb": MemberRec(1.0, 0, 100.0, {"kind": "process", "name": "b"}),
+        "s": MemberRec(2.5, 2, 11.0, {"kind": "file", "path": "/later"}),
+    }, {("s", "tb"): "write"})
+    rec = merge_hopsets([a, b], theta=10)[0].members["s"]
+    assert (rec.as_score, rec.hops, rec.iv) == (2.5, 2, 11.0)
+    assert rec.attrs == {"kind": "file", "path": "/first"}
+    assert b.members["s"].attrs == {"kind": "file", "path": "/later"}  # b is left as built
 
 
 def test_merge_prunes_lowest_iv_nonterminals():

@@ -14,8 +14,8 @@ import random
 
 import pytest
 
-from provstp.detect import steiner_window_hopsets
-from provstp.stp import IsgParams, _prune_to_bound, isg_hopset, merge_hopsets, steiner_forest
+from provstp.stp import (IsgParams, _prune_to_bound, isg_hopset, merge_hopsets, steiner_forest,
+                         steiner_window_hopsets)
 from test_stp import FakeGraph
 
 N_GRAPHS = 50
