@@ -123,33 +123,29 @@ def _drop_entry(c: CacheState, hid: str) -> Hopset:
     return h
 
 
-def _add_entry(c: CacheState, h: Hopset) -> str:
+def _add_entry(c: CacheState, h: Hopset) -> None:
     hid = hopset_id(h)
     c.entries[hid] = h
     for n in h.members:
         c.node_index[n] = hid
-    return hid
 
 
 def insert_or_merge(c: CacheState, hs: List[Hopset], theta: int) -> CacheState:
     """Fold the window's hopsets into the cache.
 
-    Incoming hopsets that share a member with residents are merged with
-    them (theta cap included) and reset to age 0; every resident that
-    was not touched this window ages by one.
+    Every resident ages by one.  Incoming hopsets that share a member
+    with residents are then merged with them (theta cap included), and
+    each hopset the window merged or passed through is reset to age 0.
     """
-    touched = set()
+    for h in c.entries.values():
+        h.age += 1
     for h in hs:
         partners = sorted({hid for hid in map(c.node_index.get, h.members)
                            if hid in c.entries})
         # every partner shares a member with h, so the merge yields one hopset
         merged = merge_hopsets([h] + [_drop_entry(c, pid) for pid in partners], theta)[0]
         merged.age = 0
-        touched -= set(partners)
-        touched.add(_add_entry(c, merged))
-    for hid, h in c.entries.items():
-        if hid not in touched:
-            h.age += 1
+        _add_entry(c, merged)
     return c
 
 

@@ -120,9 +120,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
     # windows are whole milliseconds; NaN fails every comparison
+    inf = float("inf")
     for name, ok, rule in [
-            ("window_seconds", 0.5 < cfg.window_seconds * 1000.0 < float("inf"),
-             "round to at least 1 ms"),
+            ("window_seconds", 0.5 < cfg.window_seconds * 1000.0 < inf, "round to at least 1 ms"),
+            ("epsilon", 0.0 < cfg.epsilon <= 1.0, "lie in (0, 1]"),
+            ("alpha", 0.0 < cfg.alpha <= 1.0, "lie in (0, 1]"),
+            ("beta", 0.0 <= cfg.beta < inf, "be finite and 0 or more"),
+            ("gamma", 0.0 <= cfg.gamma < inf, "be finite and 0 or more"),
             ("theta", cfg.theta >= 1, "be at least 1"),
             ("cache_capacity", cfg.cache_capacity >= 0, "be 0 or more"),
             ("grubbs_alpha", 0.0 < cfg.grubbs_alpha < 1.0, "lie strictly between 0 and 1")]:
@@ -309,6 +313,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print("cannot read truth file: %s" % exc, file=sys.stderr)
         return 2
+    if not (isinstance(truth, dict) and isinstance(truth.get("nodes"), dict)
+            and isinstance(truth.get("campaigns"), list)):
+        print("cannot read truth file: %s: not an object with a \"nodes\" object and a "
+              "\"campaigns\" list" % args.truth, file=sys.stderr)
+        return 2
     if not os.path.isdir(args.alerts):
         print("eval failed: no alert directory %s" % args.alerts, file=sys.stderr)
         return 2
@@ -316,7 +325,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for path in sorted(glob.glob(os.path.join(args.alerts, "alert-*.json"))):
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                alerts.append(json.load(fh))
+                alert = json.load(fh)
+            if not (isinstance(alert, dict) and isinstance(alert.get("members"), (dict, list))):
+                raise ValueError("not an object with a \"members\" object or list")
+            alerts.append(alert)
         except (OSError, ValueError) as exc:
             print("eval failed: %s: %s" % (path, exc), file=sys.stderr)
             return 2

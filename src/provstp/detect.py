@@ -97,15 +97,6 @@ def grubbs_outliers(values: List[float], alpha_g: float = DEFAULT_GRUBBS_ALPHA) 
     return flagged
 
 
-def _grubbs_statistic(values: List[float], value: float) -> float:
-    if len(values) < 2:
-        return 0.0
-    std = _sample_stdev(values)
-    if std <= 0.0:
-        return 0.0
-    return (value - statistics.fmean(values)) / std
-
-
 @dataclass
 class DetectorState:
     """Mutable cross-window state.
@@ -161,7 +152,10 @@ def process_window(batch: WindowBatch, st: DetectorState) -> List[dict]:
     resident = sorted(st.cache.entries.items())
     if len(resident) >= MIN_GRUBBS_POPULATION:
         values = [h.has for _, h in resident]
-        for i in grubbs_outliers(values, st.alpha_g):
+        flagged = grubbs_outliers(values, st.alpha_g)
+        if flagged:  # so three or more values, spread above 0
+            mean, std = statistics.fmean(values), _sample_stdev(values)
+        for i in flagged:
             hid, h = resident[i]
             h.age = 0
             sig = _alert_signature(h)
@@ -171,7 +165,7 @@ def process_window(batch: WindowBatch, st: DetectorState) -> List[dict]:
             alerts.append(dict(hopset_to_doc(h),
                                id="%06d-%s" % (batch.window_index, hid[:12]),
                                window_index=batch.window_index,
-                               grubbs_statistic=_grubbs_statistic(values, values[i])))
+                               grubbs_statistic=(values[i] - mean) / std))
     st.counters["alerts"] = st.counters.get("alerts", 0) + len(alerts)
     return alerts
 

@@ -316,6 +316,9 @@ def generate_scenario(name: str, seed: int,
                          "got %d, %d and %d" % (cfg.attack_start, cfg.stage_step, cfg.gap))
     if cfg.hosts < 1:
         raise ValueError("hosts must be 1 or more, got %d" % cfg.hosts)
+    for field, value in (("rate", cfg.rate), ("duration", cfg.duration)):
+        if not 0.0 < value < float("inf"):  # NaN fails the comparison too
+            raise ValueError("%s must be finite and above 0, got %r" % (field, value))
     n_windows = int(cfg.duration / cfg.window_seconds)
     if n_windows < 1:
         raise ValueError("duration shorter than one window")

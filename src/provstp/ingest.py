@@ -29,6 +29,7 @@ import re
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .model import (ALL_OPS, FILE, IP, PROCESS, Edge, Entity, FileAttrs, IpAttrs,
@@ -52,7 +53,9 @@ class RejectedEvent(ValueError):
 @dataclass(slots=True)
 class RawEvent:
     """One event, an Edge at ts.  Its host lives on in the attrs of its
-    process and file endpoints."""
+    process and file endpoints.  A class, not a `(ts, edge)` tuple: CPython
+    takes 2-tuples from a free list the collector does not count, and with
+    them young collections move out of the reader into window graph builds."""
 
     ts: int  # epoch milliseconds
     edge: Edge
@@ -281,7 +284,9 @@ def read_events(path: str, counters: Optional[Dict[str, int]] = None) -> Iterato
                 tail = match(raw, at) if at > 0 and raw[at - 1] != _BACKSLASH else None
                 prefix = raw[:at] if tail else None
                 got = memo_get(prefix)
-                if got is None:
+                if got is not None:
+                    ts = int(tail[1])
+                else:
                     try:
                         line = raw.decode()
                     except UnicodeDecodeError as exc:
@@ -291,7 +296,7 @@ def read_events(path: str, counters: Optional[Dict[str, int]] = None) -> Iterato
                         continue
                     try:
                         ev = parse_event(line, lineno, table)
-                        got = ev.edge
+                        ts, got = ev.ts, ev.edge
                     except RejectedEvent:
                         got = _REJECTED
                     # The table grows only on a line that names an entity new
@@ -305,13 +310,9 @@ def read_events(path: str, counters: Optional[Dict[str, int]] = None) -> Iterato
                         if len(memo) >= INTERN_LIMIT:
                             memo.clear()
                         memo[prefix] = got
-                    if got is not _REJECTED:
-                        yield ev
-                        continue
-                elif got is not _REJECTED:
-                    yield RawEvent(int(tail[1]), got)
-                    continue
-                if counters is not None:
+                if got is not _REJECTED:
+                    yield RawEvent(ts, got)
+                elif counters is not None:
                     counters["rejected_ops"] = counters.get("rejected_ops", 0) + 1
 
 
@@ -341,11 +342,7 @@ def window_stream(
     cur_index = 0
     prev_buf: List[RawEvent] = []  # window cur_index - 1, still open for late events
     cur_buf: List[RawEvent] = []
-
-    def seal(index: int, buf: List[RawEvent]) -> WindowBatch:
-        buf.sort(key=lambda e: e.ts)
-        return WindowBatch(index, buf)
-
+    by_ts = attrgetter("ts")
     for ev in events:
         if start_ts is None:
             start_ts = ev.ts
@@ -357,19 +354,18 @@ def window_stream(
         elif idx < cur_index - 1:
             if counters is not None:
                 counters["dropped_late"] = counters.get("dropped_late", 0) + 1
-        elif idx == cur_index + 1:
+        else:  # a forward jump seals window cur_index - 1, and window
+            # cur_index too when the jump is two or more windows
             if prev_buf:
-                yield seal(cur_index - 1, prev_buf)
-            prev_buf, cur_buf = cur_buf, [ev]
-            cur_index = idx
-        else:  # jumped two or more windows ahead
-            if prev_buf:
-                yield seal(cur_index - 1, prev_buf)
-            if cur_buf:
-                yield seal(cur_index, cur_buf)
-            prev_buf, cur_buf = [], [ev]
-            cur_index = idx
-    if prev_buf:
-        yield seal(cur_index - 1, prev_buf)
-    if cur_buf:
-        yield seal(cur_index, cur_buf)
+                prev_buf.sort(key=by_ts)
+                yield WindowBatch(cur_index - 1, prev_buf)
+            prev_buf = cur_buf
+            if idx > cur_index + 1:  # cur_buf holds the event that opened it
+                cur_buf.sort(key=by_ts)
+                yield WindowBatch(cur_index, cur_buf)
+                prev_buf = []
+            cur_buf, cur_index = [ev], idx
+    for index, buf in ((cur_index - 1, prev_buf), (cur_index, cur_buf)):
+        if buf:
+            buf.sort(key=by_ts)
+            yield WindowBatch(index, buf)

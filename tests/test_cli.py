@@ -138,11 +138,16 @@ def test_window_shorter_than_a_millisecond_is_refused(tmp_path, command):
 
 @pytest.mark.parametrize("key,value", [
     ("theta", 0), ("theta", -2), ("cache_capacity", -1), ("grubbs_alpha", 1.5),
-    ("grubbs_alpha", 0.0), ("grubbs_alpha", 1.0), ("grubbs_alpha", float("nan"))])
+    ("grubbs_alpha", 0.0), ("grubbs_alpha", 1.0), ("grubbs_alpha", float("nan")),
+    ("epsilon", float("nan")), ("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", 1.5),
+    ("alpha", float("nan")), ("alpha", 0.0), ("alpha", 1.01),
+    ("beta", -100.0), ("beta", float("inf")), ("beta", float("nan")),
+    ("gamma", float("inf")), ("gamma", -0.5), ("gamma", float("nan"))])
 def test_out_of_range_pipeline_values_are_refused(tmp_path, key, value):
-    """theta below 1, a negative cache capacity and a Grubbs alpha outside
-    (0, 1), from a flag or a config file, stop run with one line naming
-    the value."""
+    """theta below 1, a negative cache capacity, a Grubbs alpha outside
+    (0, 1), an epsilon or alpha outside (0, 1], and a beta or gamma that is
+    negative or not finite, from a flag or a config file, stop run with
+    one line naming the value."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({key: value}))
     base = ["run", "--input", "x", "--out", str(tmp_path / "o")]
@@ -343,6 +348,23 @@ def test_eval_missing_or_unparsable_alerts_fail_cleanly(data_dir, tmp_path, caps
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("eval failed: %s: " % (alerts / "alert-000001-abc.json"))
+    # an alert that parses but is not an object with a members object or list
+    for doc in ("[]", '{"members": 3}', '{"score": 1}'):
+        (alerts / "alert-000001-abc.json").write_text(doc)
+        assert main(["eval", "--alerts", str(alerts), "--truth", truth]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("eval failed: %s: " % (alerts / "alert-000001-abc.json"))
+    # a truth file that parses but is not an object with nodes and campaigns
+    (alerts / "alert-000001-abc.json").write_text('{"members": []}')
+    bad_truth = tmp_path / "truth.json"
+    for doc in ("[]", '{"nodes": {}}', '{"campaigns": []}', '{"nodes": [], "campaigns": []}',
+                '{"nodes": {}, "campaigns": {}}'):
+        bad_truth.write_text(doc)
+        assert main(["eval", "--alerts", str(alerts), "--truth", str(bad_truth)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("cannot read truth file: %s: " % bad_truth)
 
 
 def test_bench_fields_and_stp_ordering(tmp_path, capsys):
@@ -444,6 +466,9 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ("theta", 1, True),  # at the edge of each checked range
     ("cache_capacity", 0, True),
     ("grubbs_alpha", 0.999, True),
+    ("alpha", 1.0, True),
+    ("beta", 0, True),
+    ("gamma", 0.0, True),
 ])
 def test_config_file_values_must_fit_their_fields(tmp_path, key, value, ok):
     cfg_path = tmp_path / "cfg.json"

@@ -33,7 +33,8 @@ def test_too_short_duration_raises():
 
 def test_settings_that_cut_the_campaign_short_raise(tmp_path, capsys):
     """Settings that would plant only part of the chain, or no events at
-    all, are refused, and gen exits 2."""
+    all, and a rate or duration that is not finite and above 0, are
+    refused, and gen exits 2 and writes nothing."""
     for name, kw, flag, match in [
             ("apt-webshell", dict(stage_step=0), "--stage-step", "attack_start"),
             ("apt-webshell", dict(attack_start=-3), "--attack-start", "attack_start"),
@@ -41,14 +42,23 @@ def test_settings_that_cut_the_campaign_short_raise(tmp_path, capsys):
             # 10 events a window leave no room for a stage beside the benign ones
             ("apt-webshell", dict(rate=1.0), "--rate", "the rate allows 10$"),
             ("apt-webshell", dict(hosts=0), "--hosts", "hosts must be 1 or more"),
-            ("benign-only", dict(hosts=0), "--hosts", "hosts must be 1 or more")]:
+            ("benign-only", dict(hosts=0), "--hosts", "hosts must be 1 or more"),
+            ("benign-only", dict(rate=0.0), "--rate", "^rate must be finite and above 0, got 0.0$"),
+            ("benign-only", dict(rate=-1.0), "--rate", "got -1.0$"),
+            ("benign-only", dict(rate=float("inf")), "--rate", "^rate must .* got inf$"),
+            ("benign-only", dict(rate=float("nan")), "--rate", "^rate must .* got nan$"),
+            ("benign-only", dict(duration=0.0), "--duration", "^duration must .* got 0.0$"),
+            ("benign-only", dict(duration=float("inf")), "--duration", "^duration must .* inf$"),
+            ("benign-only", dict(duration=float("nan")), "--duration", "^duration must .* nan$")]:
         with pytest.raises(ValueError, match=match):
-            generate_scenario(name, 1, GenConfig(duration=300.0, **kw))
+            generate_scenario(name, 1, GenConfig(**{"duration": 300.0, **kw}))
         value = str(next(iter(kw.values())))
+        out = tmp_path / flag / value
         rc = main(["gen", "--scenario", name, "--seed", "1", "--duration", "300",
-                   "--out-dir", str(tmp_path / flag), flag, value])
+                   "--out-dir", str(out), flag, value])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("gen failed: ") and err.count("\n") == 1
+        assert not out.exists()
     generate_scenario("apt-webshell", 1, GenConfig(duration=300.0, attack_start=0,
                                                    stage_step=1))
 
