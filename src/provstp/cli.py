@@ -306,6 +306,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_string_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     try:
         with open(args.truth, "r", encoding="utf-8") as fh:
@@ -314,9 +318,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print("cannot read truth file: %s" % exc, file=sys.stderr)
         return 2
     if not (isinstance(truth, dict) and isinstance(truth.get("nodes"), dict)
-            and isinstance(truth.get("campaigns"), list)):
+            and isinstance(truth.get("campaigns"), list)
+            and all(_is_string_list(c) for c in truth["campaigns"])):
         print("cannot read truth file: %s: not an object with a \"nodes\" object and a "
-              "\"campaigns\" list" % args.truth, file=sys.stderr)
+              "\"campaigns\" list of string lists" % args.truth, file=sys.stderr)
         return 2
     if not os.path.isdir(args.alerts):
         print("eval failed: no alert directory %s" % args.alerts, file=sys.stderr)
@@ -326,8 +331,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 alert = json.load(fh)
-            if not (isinstance(alert, dict) and isinstance(alert.get("members"), (dict, list))):
-                raise ValueError("not an object with a \"members\" object or list")
+            if not (isinstance(alert, dict) and (isinstance(alert.get("members"), dict)
+                                                 or _is_string_list(alert.get("members")))):
+                raise ValueError("not an object with a \"members\" object or string list")
             alerts.append(alert)
         except (OSError, ValueError) as exc:
             print("eval failed: %s: %s" % (path, exc), file=sys.stderr)

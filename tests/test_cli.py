@@ -348,18 +348,18 @@ def test_eval_missing_or_unparsable_alerts_fail_cleanly(data_dir, tmp_path, caps
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("eval failed: %s: " % (alerts / "alert-000001-abc.json"))
-    # an alert that parses but is not an object with a members object or list
-    for doc in ("[]", '{"members": 3}', '{"score": 1}'):
+    # an alert that parses but is not an object with a members object or string list
+    for doc in ("[]", '{"members": 3}', '{"score": 1}', '{"members": [[1]]}'):
         (alerts / "alert-000001-abc.json").write_text(doc)
         assert main(["eval", "--alerts", str(alerts), "--truth", truth]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("eval failed: %s: " % (alerts / "alert-000001-abc.json"))
-    # a truth file that parses but is not an object with nodes and campaigns
+    # a truth file that parses but is not an object with nodes and string-list campaigns
     (alerts / "alert-000001-abc.json").write_text('{"members": []}')
     bad_truth = tmp_path / "truth.json"
     for doc in ("[]", '{"nodes": {}}', '{"campaigns": []}', '{"nodes": [], "campaigns": []}',
-                '{"nodes": {}, "campaigns": {}}'):
+                '{"nodes": {}, "campaigns": {}}', '{"nodes": {}, "campaigns": [3]}'):
         bad_truth.write_text(doc)
         assert main(["eval", "--alerts", str(alerts), "--truth", str(bad_truth)]) == 2
         out, err = capsys.readouterr()
@@ -551,9 +551,8 @@ def _run_cli(args, **kwargs):
 
 
 def test_default_cli_paths_do_not_import_scipy(tmp_path):
-    """Grubbs' critical values at the default alpha come from a table, so
-    startup, --help, train and a default run never import scipy; an
-    off-table alpha imports it for the Student-t quantile."""
+    """Startup, --help, train, a run at the default alpha and at 0.01, and
+    a Grubbs critical value at n = 5 000 load no scipy module."""
     import subprocess
     import sys
 
@@ -584,13 +583,36 @@ def test_default_cli_paths_do_not_import_scipy(tmp_path):
         "assert not scipy_modules(), ('run', scipy_modules())\n"
         "assert cli.main(['run', '--input', attack, '--model-dir', root + '/m',\n"
         "                 '--out', root + '/out-01', '--grubbs-alpha', '0.01']) == 0\n"
-        "assert 'scipy.special' in sys.modules\n"
+        "assert not scipy_modules(), ('run at 0.01', scipy_modules())\n"
+        "assert 0.0 < detect.grubbs_critical(5000, 0.05) < 4999 / 5000 ** 0.5\n"
+        "assert not scipy_modules(), ('grubbs_critical', scipy_modules())\n"
     )
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_src_imports_neither_scipy_nor_decimal_and_depends_only_on_numpy():
+    import ast
+    import tomllib
+
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    for path in sorted(glob.glob(os.path.join(root, "src", "provstp", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("scipy", "decimal"), (path, node.lineno)
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == ["numpy>=1.24"]
 
 
 def test_run_reads_stdin_from_a_pipe(data_dir, model_dir, tmp_path):

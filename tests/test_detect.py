@@ -3,6 +3,7 @@ import json
 import math
 import re
 import statistics
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -36,22 +37,92 @@ def test_grubbs_critical_matches_tables():
         assert grubbs_critical(n, 0.05) == pytest.approx(expected, abs=0.02)
 
 
+GRUBBS_ALPHAS = (0.1, 0.05, 0.01, 0.001)
+
+
 def test_grubbs_critical_monotone_in_n():
-    prev = 0.0
-    for n in range(3, 101):
-        g = grubbs_critical(n, 0.05)
-        assert g > prev
-        prev = g
+    for alpha in GRUBBS_ALPHAS:
+        prev = 0.0
+        for n in range(3, 5001):
+            g = grubbs_critical(n, alpha)
+            assert prev < g < (n - 1) / math.sqrt(n), (n, alpha)
+            prev = g
 
 
-def test_grubbs_critical_equals_student_t_ppf_formula():
-    from scipy.stats import t
+def _decimal_atan(w):
+    """atan(w) for w >= 0 in the current decimal context: halve the angle
+    until w <= 0.1, then sum the Taylor series."""
+    halvings = 0
+    while w > Decimal("0.1"):
+        w /= 1 + (1 + w * w).sqrt()
+        halvings += 1
+    total = term = w
+    j = 1
+    while True:
+        j += 2
+        term *= -w * w
+        if total + term / j == total:
+            return total * 2 ** halvings
+        total += term / j
 
-    for alpha in (0.05, 0.01, 0.1, 0.001):
-        for n in list(range(3, 400)) + [997, 1000, 2500, 5000]:
-            tq = t.ppf(1.0 - alpha / n, n - 2)
-            ref = ((n - 1) / math.sqrt(n)) * math.sqrt(tq * tq / (n - 2 + tq * tq))
-            assert grubbs_critical(n, alpha) == ref, (n, alpha)
+
+def _decimal_t_tail(t, nu):
+    """P(T > t) for Student's t with integer nu >= 1 degrees of freedom:
+    the finite series in theta = atan(t / sqrt(nu)) of Abramowitz and
+    Stegun 26.7.3 (odd nu) and 26.7.4 (even nu)."""
+    cos2 = nu / (nu + t * t)
+    sin = t / (nu + t * t).sqrt()
+    total = term = Decimal(1)
+    if nu % 2 == 0:
+        for k in range(1, nu // 2):
+            term *= cos2 * (2 * k - 1) / (2 * k)
+            total += term
+        return (1 - sin * total) / 2
+    for k in range(1, (nu - 1) // 2):
+        term *= cos2 * (2 * k) / (2 * k + 1)
+        total += term
+    theta = _decimal_atan(t / Decimal(nu).sqrt())
+    series = sin * cos2.sqrt() * total if nu > 1 else 0
+    return (1 - (theta + series) / (2 * _decimal_atan(Decimal(1)))) / 2
+
+
+def exact_grubbs_critical(n, alpha, near):
+    """The critical value to about 45 digits, for the exact alpha/n.
+
+    Secant steps on log P(T > t) against log t, a nearly straight line,
+    start at the t that the float `near` implies; the root is unique, so
+    the start only saves steps."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        nu = n - 2
+        log_p = (Decimal(alpha) / n).ln()
+        bound = Decimal(n - 1) / Decimal(n).sqrt()
+        g = Decimal(near)
+        u1 = (g * Decimal(nu).sqrt() / (bound * bound - g * g).sqrt()).ln()
+        u0 = u1 - Decimal("1e-6")
+        f0, f1 = (_decimal_t_tail(u.exp(), nu).ln() - log_p for u in (u0, u1))
+        for _ in range(30):
+            u0, u1 = u1, u1 - f1 * (u1 - u0) / (f1 - f0)
+            if abs(u1 - u0) < Decimal("1e-40"):
+                t = u1.exp()
+                return bound * t / (nu + t * t).sqrt()
+            f0, f1 = f1, _decimal_t_tail(u1.exp(), nu).ln() - log_p
+    raise AssertionError("no convergence at n=%d, alpha=%r" % (n, alpha))
+
+
+def test_grubbs_critical_within_16_ulps_of_exact():
+    for alpha in GRUBBS_ALPHAS:
+        for n in list(range(3, 201)) + list(range(249, 5001, 48)) + [5000]:
+            got = grubbs_critical(n, alpha)
+            exact = exact_grubbs_critical(n, alpha, got)
+            ulps = float(abs(Decimal(got) - exact) / Decimal(math.ulp(float(exact))))
+            assert ulps <= 16, (n, alpha, ulps)
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-17, 0.999999])
+@pytest.mark.parametrize("n", [3, 4, 10, 10**6])
+def test_grubbs_critical_finite_at_any_alpha(n, alpha):
+    assert 0.0 < grubbs_critical(n, alpha) <= (n - 1) / math.sqrt(n)
 
 
 def test_grubbs_critical_rejects_small_n():
@@ -60,9 +131,16 @@ def test_grubbs_critical_rejects_small_n():
             grubbs_critical(n, 0.05)
 
 
+def test_grubbs_critical_rejects_alpha_outside_0_1():
+    for alpha in (0.0, 1.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            grubbs_critical(10, alpha)
+
+
 def test_grubbs_outliers_examples():
     assert grubbs_outliers([5.0, 5.0, 5.0, 5.0]) == []
     assert grubbs_outliers([1.0] * 9 + [100.0]) == [9]
+    assert grubbs_outliers([0.0] * 9 + [1.0], 1e-17) == [9]  # a finite critical value
     assert grubbs_outliers([1.0, 100.0]) == []
     assert grubbs_outliers([]) == []
 
