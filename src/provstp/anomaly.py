@@ -5,6 +5,12 @@ AS(p) = ln(RE(p) / SV(name)).  RE is the per-dimension reconstruction
 MSE through the encoder-mean path; SV counts how many distinct behavior
 clusters a process name produced historically, so erratic-but-benign
 processes are discounted.
+
+The bundle memoizes process rows, `process_vector`'s output, by the raw
+`(cmdline, paths, quads)` and behind that by the cmdline's kept tokens
+and each file's and IP's (kept tokens, IDF weight), in order.  A text's
+vector is a function of its kept tokens (see `embed`), and a row of its
+vectors and weights in that order, so a hit is exact by construction.
 """
 
 from __future__ import annotations
@@ -14,12 +20,12 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _kernels
-from .embed import EmbeddingModel, IdfTable, process_vector
+from .embed import EmbeddingModel, IdfTable, _memo_put, process_vector
 from .model import FILE, IP, PROCESS
 
 LOG_GUARD = 1e-12
@@ -248,6 +254,7 @@ class ModelBundle:
         self.vae = vae
         self.stability = stability
         self.threshold = threshold
+        self.rows: Dict[tuple, np.ndarray] = {}  # process_vectors' row memo
 
     def save(self, model_dir: str):
         os.makedirs(model_dir, exist_ok=True)
@@ -281,13 +288,30 @@ def window_process_features(g) -> List[Tuple[str, str, str, List[str], List[str]
     return out
 
 
-def process_vectors(feats, emb: EmbeddingModel, idf: IdfTable) -> np.ndarray:
-    """One process vector per window_process_features entry, as an (n, d) array."""
+def process_vectors(feats, emb: EmbeddingModel, idf: IdfTable,
+                    rows: Optional[Dict[tuple, np.ndarray]] = None) -> np.ndarray:
+    """One process vector per window_process_features entry, as an (n, d)
+    array.  `rows` is the row memo of this emb and idf (see the module
+    docstring); without it the rows are memoized for this call only."""
+    if rows is None:
+        rows = {}
     out = np.empty((len(feats), emb.dimension))
     for i, (_, _, cmdline, paths, quads) in enumerate(feats):
-        out[i] = process_vector(emb.embed_text(cmdline),
-                                [(emb.embed_text(p), idf.weight(p)) for p in paths],
-                                [(emb.embed_text(q), idf.weight(q)) for q in quads])
+        raw = (cmdline, tuple(paths), tuple(quads))
+        v = rows.get(raw)
+        if v is None:
+            texts = raw[1] + raw[2]
+            items = [(emb.embed_text(t), idf.weight(t)) for t in texts]
+            cmd = emb.embed_text(cmdline)
+            key = (emb.text_key(cmdline),) + tuple(
+                (emb.text_key(t), w) for t, (_, w) in zip(texts, items))
+            v = rows.get(key)
+            if v is None:
+                v = process_vector(cmd, items[:len(paths)], items[len(paths):])
+                v.flags.writeable = False
+                _memo_put(rows, key, v)
+            _memo_put(rows, raw, v)
+        out[i] = v
     return out
 
 
@@ -300,8 +324,8 @@ def score_processes(g, bundle: ModelBundle) -> Dict[str, float]:
     feats = window_process_features(g)
     if not feats:
         return {}
-    res = reconstruction_errors(bundle.vae,
-                                process_vectors(feats, bundle.embedding, bundle.idf))
+    res = reconstruction_errors(bundle.vae, process_vectors(
+        feats, bundle.embedding, bundle.idf, bundle.rows))
     return {
         nid: anomaly_score(float(re), bundle.stability.get(name))
         for (nid, name, _, _, _), re in zip(feats, res)

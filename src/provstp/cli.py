@@ -276,6 +276,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "restored": state.counters.get("restored", 0),
         "rejected": counters.get("rejected_ops", 0),
         "dropped_late": counters.get("dropped_late", 0),
+        "blank_lines": counters.get("blank_lines", 0),
         "illegal_pairs": state.counters.get("illegal_pairs", 0),
         "seconds": round(seconds, 6),
         "cpu_s": round(cpu_s, 6),

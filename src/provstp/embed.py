@@ -4,6 +4,13 @@ Command lines, file paths, and socket 4-tuples become bags of tokens,
 hash-like tokens are dropped, and a skip-gram model with hashed subword
 buckets turns each string into a d-vector.  Per-process vectors combine
 the command-line vector with IDF-weighted vectors of touched files/IPs.
+
+A model memoizes what a stream repeats: a raw token's kept lowercase
+form, an n-gram's bucket vector, a token's vector, a raw text's kept
+tokens and a kept-token tuple's vector.  Each memo stores the plain
+function's own output, and a text's vector is a function of its kept
+tokens alone, as `embed_sentence` filters before it averages, so a hit
+is exact by construction.  Each memo holds at most MEMO_LIMIT entries.
 """
 
 from __future__ import annotations
@@ -24,9 +31,10 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 _HEX_RE = re.compile(r"[0-9a-f]+\Z")
 
 NEG_TABLE_SIZE = 1 << 20
-# Entries a model's token and text memos each hold before they are
-# cleared; at d = 64 an entry is under 1 KB.
+# Entries each memo holds before it is cleared; at d = 64 an entry is
+# under 1 KB.
 MEMO_LIMIT = 1 << 14
+_UNSEEN = object()  # memo miss where None is a stored value
 
 
 @dataclass
@@ -66,7 +74,7 @@ def _fnv1a(s: str) -> int:
     return h
 
 
-def _memo_put(memo: Dict[str, np.ndarray], key: str, value: np.ndarray):
+def _memo_put(memo: dict, key, value):
     if len(memo) >= MEMO_LIMIT:
         memo.clear()
     memo[key] = value
@@ -94,8 +102,11 @@ class EmbeddingModel:
         self.dimension = config.dimension
         self.words = words
         self.buckets = buckets
-        self._text_cache: Dict[str, np.ndarray] = {}
+        self._text_cache: Dict[str, Tuple[str, ...]] = {}  # raw text -> kept tokens
+        self._sentence_memo: Dict[Tuple[str, ...], np.ndarray] = {}
         self._token_memo: Dict[str, np.ndarray] = {}
+        self._kept_memo: Dict[str, str] = {}  # raw token -> lowercase, "" if gibberish
+        self._gram_memo: Dict[str, object] = {}  # n-gram -> bucket vector or None
 
     def token_vector(self, token: str) -> np.ndarray:
         """Memoized _token_vector; the result is read-only because it is shared."""
@@ -111,20 +122,46 @@ class EmbeddingModel:
         w = self.words.get(token)
         if w is not None:
             parts.append(w)
+        grams = self._gram_memo
         for g in _ngrams(token):
-            b = self.buckets.get(_fnv1a(g) % self.config.buckets)
+            b = grams.get(g, _UNSEEN)
+            if b is _UNSEEN:
+                b = self.buckets.get(_fnv1a(g) % self.config.buckets)
+                _memo_put(grams, g, b)
             if b is not None:
                 parts.append(b)
         if not parts:
             return np.zeros(self.dimension)
         return np.mean(parts, axis=0)
 
+    def text_key(self, raw: str) -> Tuple[str, ...]:
+        """filter_gibberish(sentenceize(raw)) as a tuple, memoized: what
+        embed_text(raw) is a function of."""
+        key = self._text_cache.get(raw)
+        if key is None:
+            kept, memo = [], self._kept_memo
+            for t in _TOKEN_RE.findall(raw):
+                k = memo.get(t)
+                if k is None:
+                    k = t.lower()
+                    if _is_gibberish(k):
+                        k = ""
+                    _memo_put(memo, t, k)
+                if k:
+                    kept.append(k)
+            key = tuple(kept)
+            _memo_put(self._text_cache, raw, key)
+        return key
+
     def embed_text(self, raw: str) -> np.ndarray:
-        """Memoized sentenceize + embed for repeated feature strings."""
-        v = self._text_cache.get(raw)
+        """embed_sentence(self, sentenceize(raw)), memoized by its kept
+        tokens; read-only, because it is shared."""
+        key = self.text_key(raw)
+        v = self._sentence_memo.get(key)
         if v is None:
-            v = embed_sentence(self, sentenceize(raw))
-            _memo_put(self._text_cache, raw, v)
+            v = _mean_vector(self, key)
+            v.flags.writeable = False
+            _memo_put(self._sentence_memo, key, v)
         return v
 
     def save(self, path: str):
@@ -262,7 +299,10 @@ def train_embedding(corpus: Sequence[Sentence], config: EmbedConfig = None) -> E
 
 def embed_sentence(m: EmbeddingModel, s: Sentence) -> np.ndarray:
     """Mean of token vectors after gibberish filtering; empty -> zero vector."""
-    toks = filter_gibberish(s)
+    return _mean_vector(m, filter_gibberish(s))
+
+
+def _mean_vector(m: EmbeddingModel, toks: Sequence[str]) -> np.ndarray:
     if not toks:
         return np.zeros(m.dimension)
     return np.mean([m.token_vector(t) for t in toks], axis=0)

@@ -267,7 +267,8 @@ def read_events(path: str, counters: Optional[Dict[str, int]] = None) -> Iterato
     Entities are interned per stream, as in parse_event, and a line that
     repeats an earlier one in all but its `ts` is decoded from the memo
     (see the module docstring).  Lines with an unrecognized op are
-    skipped and counted under 'rejected_ops'; a malformed line raises
+    skipped and counted under 'rejected_ops', and blank or whitespace-only
+    lines under 'blank_lines'; a malformed line raises
     ParseError, and a failed read its OSError, once every event before
     it has been yielded.  However the generator ends, it closes the file
     it opened; stdin stays open.
@@ -292,7 +293,9 @@ def read_events(path: str, counters: Optional[Dict[str, int]] = None) -> Iterato
                     except UnicodeDecodeError as exc:
                         raise ParseError("line %d: not UTF-8: %s" % (lineno, exc),
                                          lineno) from None
-                    if not line or line.isspace():
+                    if not line or line.isspace():  # never a memo key
+                        if counters is not None:
+                            counters["blank_lines"] = counters.get("blank_lines", 0) + 1
                         continue
                     try:
                         ev = parse_event(line, lineno, table)

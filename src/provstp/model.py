@@ -4,7 +4,9 @@ Nodes are processes, files, and socket 4-tuples.  Each entity gets a
 deterministic md5 uuid so the same real-world object maps to the same
 node across windows and across runs.  An event is a `ts` and an `Edge`,
 an op between two interned Entities; a window graph folds each distinct
-Edge once, weighted by its events.
+Edge once, weighted by its events.  An Edge's legality and sorted NodeId
+pair depend on its op and endpoints alone, so the reader decides them
+once per distinct line, when it builds the Edge, for every window.
 """
 
 from __future__ import annotations
@@ -64,12 +66,15 @@ class Entity(NamedTuple):
 
 
 class Edge:
-    """An op from Entity src to dst, hashed by identity: counting its events runs no Python."""
+    """An op from Entity src to dst, hashed by identity: counting its events
+    runs no Python.  Its legality and sorted NodeId pair are set once, here."""
 
-    __slots__ = ("op", "src", "dst")
+    __slots__ = ("op", "src", "dst", "legal", "pair")
 
     def __init__(self, op: str, src: Entity, dst: Entity):
         self.op, self.src, self.dst = op, src, dst
+        self.legal = legal_op(op, src.kind, dst.kind)
+        self.pair = (src.id, dst.id) if src.id < dst.id else (dst.id, src.id)
 
 
 def legal_op(op: str, src_kind: str, dst_kind: str) -> bool:
@@ -144,20 +149,24 @@ def build_window_graph(events: Iterable) -> WindowGraph:
     g = WindowGraph()
     nodes, undirected = g.nodes, g.undirected
     for edge, count in Counter(map(attrgetter("edge"), events)).items():
-        (src_kind, _, src), (dst_kind, _, dst) = edge.src, edge.dst
-        if not legal_op(edge.op, src_kind, dst_kind):
+        if not edge.legal:
             g.rejected += count
             continue
         g.edges[edge] = count
-        for kind, attrs, nid in (edge.src, edge.dst):
-            if nid not in nodes:
-                nodes[nid] = NodeRec(kind, attrs)
-                undirected[nid] = set()
-        nodes[src].out_degree += count
-        nodes[dst].in_degree += count
-        adj = undirected[src]
-        if dst not in adj:
-            adj.add(dst)
-            undirected[dst].add(src)
-            g.first_op[(src, dst) if src < dst else (dst, src)] = edge.op
+        src, dst = edge.src, edge.dst
+        src_rec = nodes.get(src.id)
+        if src_rec is None:
+            src_rec = nodes[src.id] = NodeRec(src.kind, src.attrs)
+            undirected[src.id] = set()
+        dst_rec = nodes.get(dst.id)
+        if dst_rec is None:
+            dst_rec = nodes[dst.id] = NodeRec(dst.kind, dst.attrs)
+            undirected[dst.id] = set()
+        src_rec.out_degree += count
+        dst_rec.in_degree += count
+        adj = undirected[src.id]
+        if dst.id not in adj:
+            adj.add(dst.id)
+            undirected[dst.id].add(src.id)
+            g.first_op[edge.pair] = edge.op
     return g

@@ -1,22 +1,37 @@
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from provstp import embed
 from provstp._kernels import dbscan_labels
 from provstp.anomaly import (
+    AnomalyThreshold,
+    ModelBundle,
     VaeConfig,
     VaeModel,
     _init_params,
     anomaly_score,
     build_stability_table,
     calibrate_threshold,
+    process_vectors,
     reconstruction_errors,
+    score_processes,
     train_vae,
     vae_loss_and_grads,
+    window_process_features,
 )
+from provstp.embed import (EmbedConfig, EmbeddingModel, IdfTable, _fnv1a, _ngrams,
+                           embed_sentence, process_vector, sentenceize, train_embedding)
+from provstp.model import FileAttrs, IpAttrs, ProcessAttrs, build_window_graph
+from streams import event
 
 
 def oracle_dbscan(X, eps, min_pts):
@@ -230,3 +245,141 @@ def test_calibrate_threshold_nearest_rank():
 def test_calibrate_threshold_empty_errors():
     with pytest.raises(ValueError):
         calibrate_threshold([])
+
+
+# Feature pools for the scoring memos: texts that repeat, texts whose
+# kept tokens repeat under a fresh hex suffix or a change of case, fresh
+# ports, and texts that are all gibberish or have no tokens at all.
+_CMDLINES = ["/usr/bin/python3 app.py --port 8080", "/USR/BIN/Python3 APP.py --port 8080",
+             "sshd: root@pts/0", "deadbeef99 0123456789", "--- / ---", ""]
+_PATHS = st.one_of(
+    st.sampled_from(["/etc/passwd", "/ETC/passwd", "/var/log/syslog", "/tmp/abc123def456", "/",
+                     "/deadbeef99"]),
+    st.integers(0, (1 << 24) - 1).map(lambda n: "/var/lib/telemetry/batch-%06x.json" % n))
+_IPS = st.one_of(
+    st.sampled_from([("10.0.0.5", 40000, "10.0.0.9", 443), ("10.0.0.7", 5353, "224.0.0.251", 5353)]),
+    st.integers(1024, 65535).map(lambda port: ("10.0.0.5", port, "10.0.0.9", 443)))
+_PROCESS = st.tuples(st.integers(1, 4), st.sampled_from(_CMDLINES),
+                     st.lists(_PATHS, max_size=3), st.lists(_IPS, max_size=2))
+_WINDOWS = st.lists(st.lists(_PROCESS, min_size=1, max_size=4), min_size=1, max_size=5)
+
+
+def _window_events(procs):
+    events = []
+    for pid, cmdline, paths, ips in procs:
+        p = ProcessAttrs(pid=pid, tid=pid, uid=0, name="p%d" % pid, cmdline=cmdline)
+        events.append(event("fork", "process", p, "process", p))
+        events += [event("read", "file", FileAttrs(path=path), "process", p) for path in paths]
+        events += [event("sendto", "process", p, "ip", IpAttrs(*quad)) for quad in ips]
+    return events
+
+
+_PARTS = []
+
+
+def _bundle_parts():
+    """Small trained embedding, IDF table, VAE and stability table; each
+    test wraps them in a bundle of its own, whose memos start empty."""
+    if not _PARTS:
+        corpus = [sentenceize(t) for t in _CMDLINES + ["/etc/passwd /var/log/syslog",
+                                                      "/var/lib/telemetry/batch.json"]]
+        emb = train_embedding([s for s in corpus if s], EmbedConfig(dimension=8, epochs=2))
+        idf = IdfTable(p=10, counts={"/etc/passwd": 6, "/var/log/syslog": 2,
+                                     "10.0.0.5:40000:10.0.0.9:443": 3})
+        rows = [embed_sentence(emb, s) + i for i, s in enumerate(corpus)]
+        vae = train_vae(rows, VaeConfig(hidden=4, latent=2, epochs=2))
+        _PARTS.extend([emb, idf, vae, build_stability_table({"p1": rows[:3], "p2": rows})])
+    return _PARTS
+
+
+def _fresh_bundle():
+    emb, idf, vae, stability = _bundle_parts()
+    return ModelBundle(EmbeddingModel(emb.config, emb.words, emb.buckets), idf, vae,
+                       stability, AnomalyThreshold(tau=0.0))
+
+
+def _memos(bundle):
+    e = bundle.embedding
+    return [e._text_cache, e._sentence_memo, e._token_memo, e._kept_memo, e._gram_memo,
+            bundle.rows]
+
+
+class _PlainTokens:
+    """A token vector as the mean of its word and bucket vectors, with no memo."""
+
+    def __init__(self, m):
+        self.m, self.dimension = m, m.dimension
+
+    def token_vector(self, token):
+        m = self.m
+        parts = [m.words[token]] if token in m.words else []
+        parts += [m.buckets[b] for b in (_fnv1a(g) % m.config.buckets for g in _ngrams(token))
+                  if b in m.buckets]
+        return np.mean(parts, axis=0) if parts else np.zeros(m.dimension)
+
+
+def _reference_rows(feats, bundle):
+    plain, idf = _PlainTokens(bundle.embedding), bundle.idf
+
+    def vec(raw):  # embed_sentence filters the gibberish out
+        return embed_sentence(plain, sentenceize(raw))
+
+    return np.array([process_vector(vec(cmdline), [(vec(p), idf.weight(p)) for p in paths],
+                                    [(vec(q), idf.weight(q)) for q in quads])
+                     for _, _, cmdline, paths, quads in feats])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_WINDOWS, st.integers(2, 4), st.randoms(use_true_random=False))
+# the same kept tokens under two IDF weights
+@example([[(1, _CMDLINES[0], ["/etc/passwd"], [])], [(2, _CMDLINES[1], ["/ETC/passwd"], [])]],
+         4, random.Random(0))
+def test_memoized_scoring_is_bit_exact(windows, limit, rnd):
+    windows = windows + windows  # every window comes back
+    rnd.shuffle(windows)
+    bundle = _fresh_bundle()
+    with mock.patch.object(embed, "MEMO_LIMIT", limit):
+        for procs in windows:
+            g = build_window_graph(_window_events(procs))
+            feats = window_process_features(g)
+            want = _reference_rows(feats, bundle)
+            got = process_vectors(feats, bundle.embedding, bundle.idf, bundle.rows)
+            assert got.tobytes() == want.tobytes()
+            errors = reconstruction_errors(bundle.vae, want)
+            assert score_processes(g, bundle) == {
+                nid: anomaly_score(float(re), bundle.stability.get(name))
+                for (nid, name, _, _, _), re in zip(feats, errors)}
+            assert all(len(memo) <= limit for memo in _memos(bundle))
+
+
+def test_every_memo_is_empty_after_load(tmp_path):
+    bundle = _fresh_bundle()
+    g = build_window_graph(_window_events([(1, _CMDLINES[0], ["/etc/passwd"],
+                                            [("10.0.0.5", 40000, "10.0.0.9", 443)])]))
+    score_processes(g, bundle)
+    assert all(_memos(bundle))
+    bundle.save(str(tmp_path))
+    assert not any(_memos(ModelBundle.load(str(tmp_path))))
+
+
+def test_scoring_memory_stops_growing_on_fresh_paths_and_ports(monkeypatch):
+    """Thousands of windows of paths and ports never seen before: every
+    memo fills and is cleared many times over, and the memory that scoring
+    holds stops growing once they have."""
+    monkeypatch.setattr(embed, "MEMO_LIMIT", 200)
+    bundle = _fresh_bundle()
+    held = []
+    tracemalloc.start()
+    try:
+        for w in range(3000):
+            procs = [(pid, _CMDLINES[pid], ["/var/lib/telemetry/batch-%06x.json" % (w * 4 + pid)],
+                      [("10.0.0.5", 1024 + (w * 4 + pid) % 60000, "10.0.0.9", 443)])
+                     for pid in (1, 2)]
+            score_processes(build_window_graph(_window_events(procs)), bundle)
+            if w % 100 == 99:
+                held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert all(len(memo) <= 200 for memo in _memos(bundle))
+    # the first 1 000 windows fill each memo to its limit more than once
+    assert max(held[10:]) <= max(held[:10]) + 64 * 1024, held

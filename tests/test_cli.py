@@ -231,6 +231,29 @@ def test_run_summary_reports_late_and_illegal_events(data_dir, model_dir, tmp_pa
     assert doc["illegal_pairs"] == 1
 
 
+def test_run_summary_accounts_for_every_input_line(data_dir, model_dir, tmp_path, capsys):
+    """Blank, whitespace-only, CRLF, lone-CR and unterminated lines: every
+    line is an event, a rejected op, a late drop or a blank line."""
+    with open(data_dir / "quiet" / "events.jsonl", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()[:1200]  # three windows
+    rejected = json.dumps(dict(json.loads(lines[5]), op="unlink"))
+    late = lines[0]  # its window was sealed long before the end
+    body = [(line, b"\r\n" if i % 7 == 0 else b"\r" if i % 11 == 0 else b"\n")
+            for i, line in enumerate(lines[:-1])]
+    blanks = [("", b"\n"), ("   ", b"\r\n"), ("\t \t", b"\n"), ("", b"\r\n"), (" ", b"\r")]
+    records = (blanks[:2] + body[:600] + blanks[2:] + [(rejected, b"\n")] + body[600:]
+               + [(late, b"\r\n"), (lines[-1], b"")])
+    stream = tmp_path / "events.jsonl"
+    stream.write_bytes(b"".join(text.encode("utf-8") + end for text, end in records))
+    rc = main(["run", "--input", str(stream), "--model-dir", str(model_dir),
+               "--out", str(tmp_path / "out"), "--store-dir", str(tmp_path / "store")])
+    assert rc == 0
+    doc = read_stdout_json(capsys)
+    assert (doc["blank_lines"], doc["rejected"], doc["dropped_late"]) == (5, 1, 1)
+    assert doc["events"] + doc["rejected"] + doc["dropped_late"] + doc["blank_lines"] \
+        == len(records)
+
+
 def test_run_malformed_value_fails_cleanly(data_dir, model_dir, tmp_path, capsys):
     with open(data_dir / "quiet" / "events.jsonl", encoding="utf-8") as fh:
         good = fh.readline()

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from provstp.embed import (
@@ -133,10 +133,40 @@ def test_token_vector_memo_returns_direct_values(monkeypatch):
         assert np.array_equal(v, m._token_vector(t))
         assert not v.flags.writeable
         assert len(m._token_memo) <= 2
-    texts = ("/alpha/beta", "gamma delta", "/alpha/beta", "x.zzz", "beta", "gamma delta")
+    texts = ("/alpha/beta", "gamma delta", "/alpha/beta", "x.zzz", "beta", "gamma delta",
+             "/tmp/Beta-9f3a2c1d.log", "/tmp/beta-77aa0e12.log")
     for t in texts:
         assert np.array_equal(m.embed_text(t), embed_sentence(m, sentenceize(t)))
-        assert len(m._text_cache) <= 2
+        assert all(len(memo) <= 2 for memo in (m._text_cache, m._sentence_memo, m._token_memo,
+                                                m._kept_memo, m._gram_memo))
+
+
+def test_cached_text_and_sentence_vectors_are_read_only():
+    m = _toy_model()
+    v = m.embed_text("/alpha/beta")
+    with pytest.raises(ValueError):
+        v[0] = 1.0
+    with pytest.raises(ValueError):
+        v += 1.0
+    # a text with the same kept tokens shares the sentence vector
+    assert m.embed_text("/ALPHA/beta-deadbeef99") is v
+    for vec in [m.embed_text("")] + list(m._sentence_memo.values()):
+        assert not vec.flags.writeable
+    assert np.array_equal(m.embed_text("/alpha/beta"), embed_sentence(m, ["alpha", "beta"]))
+
+
+_SHARED_MODEL = []  # one model for every example, so that its memos warm up
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="aBf09-/. x", max_size=40))
+def test_text_key_is_the_kept_tokens(raw):
+    if not _SHARED_MODEL:
+        _SHARED_MODEL.append(_toy_model())
+    m = _SHARED_MODEL[0]
+    assert m.text_key(raw) == tuple(filter_gibberish(sentenceize(raw)))
+    assert m.text_key(raw) == m.text_key(raw)  # from the text cache
+    assert np.array_equal(m.embed_text(raw), embed_sentence(m, sentenceize(raw)))
 
 
 def test_embed_sentence_empty_is_zero():

@@ -11,11 +11,16 @@ from hypothesis import strategies as st
 from provstp.ingest import RawEvent, parse_event
 from provstp.model import (
     ALL_OPS,
+    FILE,
+    IP,
+    PROCESS,
     Edge,
     Entity,
     FileAttrs,
     IpAttrs,
+    NodeRec,
     ProcessAttrs,
+    WindowGraph,
     build_window_graph,
     entity_uuid,
     legal_op,
@@ -253,3 +258,62 @@ def test_first_op_is_first_event_on_each_pair(rows):
             ref.setdefault((src, dst) if src < dst else (dst, src), op)
     assert g.first_op == ref
     assert {tuple(sorted((u, v))) for u, nbrs in g.undirected.items() for v in nbrs} == set(ref)
+
+
+def test_edge_decides_legality_and_sorted_pair_once():
+    kinds = {PROCESS: _PROCS[1], FILE: _FILES[0], IP: _IPS[0]}
+    ents = {k: Entity(k, a, entity_uuid(k, a)) for k, a in kinds.items()}
+    for op in sorted(ALL_OPS) + ["readdir"]:  # readdir is no op at all
+        for k1 in kinds:
+            for k2 in kinds:
+                e = Edge(op, ents[k1], ents[k2])
+                assert e.legal == legal_op(op, k1, k2)
+                assert e.pair == tuple(sorted((ents[k1].id, ents[k2].id)))
+
+
+def _oracle_fold(events):
+    """The window graph fold before Edges carried their legality: it asks
+    legal_op and sorts each pair for every distinct Edge."""
+    g = WindowGraph()
+    nodes, undirected = g.nodes, g.undirected
+    for edge, count in Counter(ev.edge for ev in events).items():
+        (src_kind, _, src), (dst_kind, _, dst) = edge.src, edge.dst
+        if not legal_op(edge.op, src_kind, dst_kind):
+            g.rejected += count
+            continue
+        g.edges[edge] = count
+        for kind, attrs, nid in (edge.src, edge.dst):
+            if nid not in nodes:
+                nodes[nid] = NodeRec(kind, attrs)
+                undirected[nid] = set()
+        nodes[src].out_degree += count
+        nodes[dst].in_degree += count
+        adj = undirected[src]
+        if dst not in adj:
+            adj.add(dst)
+            undirected[dst].add(src)
+            g.first_op[(src, dst) if src < dst else (dst, src)] = edge.op
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(_event_rows, st.lists(st.booleans(), max_size=40))
+def test_window_graph_equals_the_oracle_fold(rows, share):
+    """Streams that mix memo-shared Edges with fresh ones, as a reader
+    gives them, fold as the oracle folds them."""
+    entities = [Entity(kind, attrs, entity_uuid(kind, attrs)) for kind, attrs in _ENTITIES]
+    interned = {}
+    events = []
+    for ts, ((op, s, d), shared) in enumerate(zip(rows, share + [True] * len(rows))):
+        edge = Edge(op, entities[s], entities[d])
+        if shared:
+            edge = interned.setdefault((op, s, d), edge)
+        events.append(RawEvent(ts, edge))
+    g, want = build_window_graph(events), _oracle_fold(events)
+    assert list(g.nodes) == list(want.nodes)
+    assert all(g.nodes[n] == want.nodes[n] and g.nodes[n].attrs is want.nodes[n].attrs
+               for n in g.nodes)
+    assert g.undirected == want.undirected
+    assert list(g.first_op.items()) == list(want.first_op.items())
+    assert list(g.edges.items()) == list(want.edges.items())
+    assert g.rejected == want.rejected
