@@ -6,11 +6,11 @@ MSE through the encoder-mean path; SV counts how many distinct behavior
 clusters a process name produced historically, so erratic-but-benign
 processes are discounted.
 
-The bundle memoizes process rows, `process_vector`'s output, by the raw
-`(cmdline, paths, quads)` and behind that by the cmdline's kept tokens
-and each file's and IP's (kept tokens, IDF weight), in order.  A text's
-vector is a function of its kept tokens (see `embed`), and a row of its
-vectors and weights in that order, so a hit is exact by construction.
+Scoring keeps four memos, each bounded by `embed.MEMO_LIMIT` and empty
+when a bundle loads: the embedding's three (see `embed`) and the
+bundle's `rows`, from the raw `(cmdline, paths, quads)` to
+`process_vector`'s output.  A row is a function of those texts' vectors
+and IDF weights alone, so a hit is exact by construction.
 """
 
 from __future__ import annotations
@@ -297,20 +297,14 @@ def process_vectors(feats, emb: EmbeddingModel, idf: IdfTable,
         rows = {}
     out = np.empty((len(feats), emb.dimension))
     for i, (_, _, cmdline, paths, quads) in enumerate(feats):
-        raw = (cmdline, tuple(paths), tuple(quads))
-        v = rows.get(raw)
+        key = (cmdline, tuple(paths), tuple(quads))
+        v = rows.get(key)
         if v is None:
-            texts = raw[1] + raw[2]
-            items = [(emb.embed_text(t), idf.weight(t)) for t in texts]
-            cmd = emb.embed_text(cmdline)
-            key = (emb.text_key(cmdline),) + tuple(
-                (emb.text_key(t), w) for t, (_, w) in zip(texts, items))
-            v = rows.get(key)
-            if v is None:
-                v = process_vector(cmd, items[:len(paths)], items[len(paths):])
-                v.flags.writeable = False
-                _memo_put(rows, key, v)
-            _memo_put(rows, raw, v)
+            v = process_vector(emb.embed_text(cmdline),
+                               [(emb.embed_text(p), idf.weight(p)) for p in paths],
+                               [(emb.embed_text(q), idf.weight(q)) for q in quads])
+            v.flags.writeable = False
+            _memo_put(rows, key, v)
         out[i] = v
     return out
 

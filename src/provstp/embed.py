@@ -5,12 +5,12 @@ hash-like tokens are dropped, and a skip-gram model with hashed subword
 buckets turns each string into a d-vector.  Per-process vectors combine
 the command-line vector with IDF-weighted vectors of touched files/IPs.
 
-A model memoizes what a stream repeats: a raw token's kept lowercase
-form, an n-gram's bucket vector, a token's vector, a raw text's kept
-tokens and a kept-token tuple's vector.  Each memo stores the plain
-function's own output, and a text's vector is a function of its kept
-tokens alone, as `embed_sentence` filters before it averages, so a hit
-is exact by construction.  Each memo holds at most MEMO_LIMIT entries.
+A model memoizes what a stream repeats in three memos: token to vector,
+kept-token tuple to vector, and raw text to vector, the last filled from
+the second on a miss.  Each memo stores the plain function's own output,
+and a text's vector is a function of its kept tokens alone, as
+`embed_sentence` filters before it averages, so a hit is exact by
+construction.  Each memo holds at most MEMO_LIMIT entries.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ NEG_TABLE_SIZE = 1 << 20
 # Entries each memo holds before it is cleared; at d = 64 an entry is
 # under 1 KB.
 MEMO_LIMIT = 1 << 14
-_UNSEEN = object()  # memo miss where None is a stored value
 
 
 @dataclass
@@ -102,11 +101,9 @@ class EmbeddingModel:
         self.dimension = config.dimension
         self.words = words
         self.buckets = buckets
-        self._text_cache: Dict[str, Tuple[str, ...]] = {}  # raw text -> kept tokens
-        self._sentence_memo: Dict[Tuple[str, ...], np.ndarray] = {}
+        self._text_cache: Dict[str, np.ndarray] = {}
+        self._sentence_memo: Dict[Tuple[str, ...], np.ndarray] = {}  # by kept tokens
         self._token_memo: Dict[str, np.ndarray] = {}
-        self._kept_memo: Dict[str, str] = {}  # raw token -> lowercase, "" if gibberish
-        self._gram_memo: Dict[str, object] = {}  # n-gram -> bucket vector or None
 
     def token_vector(self, token: str) -> np.ndarray:
         """Memoized _token_vector; the result is read-only because it is shared."""
@@ -122,46 +119,26 @@ class EmbeddingModel:
         w = self.words.get(token)
         if w is not None:
             parts.append(w)
-        grams = self._gram_memo
         for g in _ngrams(token):
-            b = grams.get(g, _UNSEEN)
-            if b is _UNSEEN:
-                b = self.buckets.get(_fnv1a(g) % self.config.buckets)
-                _memo_put(grams, g, b)
+            b = self.buckets.get(_fnv1a(g) % self.config.buckets)
             if b is not None:
                 parts.append(b)
         if not parts:
             return np.zeros(self.dimension)
         return np.mean(parts, axis=0)
 
-    def text_key(self, raw: str) -> Tuple[str, ...]:
-        """filter_gibberish(sentenceize(raw)) as a tuple, memoized: what
-        embed_text(raw) is a function of."""
-        key = self._text_cache.get(raw)
-        if key is None:
-            kept, memo = [], self._kept_memo
-            for t in _TOKEN_RE.findall(raw):
-                k = memo.get(t)
-                if k is None:
-                    k = t.lower()
-                    if _is_gibberish(k):
-                        k = ""
-                    _memo_put(memo, t, k)
-                if k:
-                    kept.append(k)
-            key = tuple(kept)
-            _memo_put(self._text_cache, raw, key)
-        return key
-
     def embed_text(self, raw: str) -> np.ndarray:
-        """embed_sentence(self, sentenceize(raw)), memoized by its kept
-        tokens; read-only, because it is shared."""
-        key = self.text_key(raw)
-        v = self._sentence_memo.get(key)
+        """embed_sentence(self, sentenceize(raw)), memoized by raw text and
+        by kept tokens; read-only, because it is shared."""
+        v = self._text_cache.get(raw)
         if v is None:
-            v = _mean_vector(self, key)
-            v.flags.writeable = False
-            _memo_put(self._sentence_memo, key, v)
+            key = tuple(filter_gibberish(sentenceize(raw)))
+            v = self._sentence_memo.get(key)
+            if v is None:
+                v = _mean_vector(self, key)
+                v.flags.writeable = False
+                _memo_put(self._sentence_memo, key, v)
+            _memo_put(self._text_cache, raw, v)
         return v
 
     def save(self, path: str):

@@ -1,33 +1,34 @@
 """JSONL audit-event parsing and event-time windowing.
 
-`read_events` decodes the input in the caller's process into events,
-`RawEvent(ts, edge)`.  Most audit lines repeat an earlier line in all
-but their `ts`, so the reader keeps a memo from a line's bytes before
-its last `"ts": `, its prefix, to the `model.Edge` decoding the line
-gave, or "rejected op".  A line whose prefix is in the memo is decoded
-by reading its `ts` alone, and its event holds that very Edge.
+`read_events` reads UTF-8 text in the caller's process, with universal
+newlines, into events, `RawEvent(ts, edge)`; a line holding a byte that
+is not UTF-8 is a ParseError.  Most audit lines repeat an earlier line
+in all but their `ts`, so the reader keeps a memo from a line's text
+before its last `"ts": `, its prefix, to the `model.Edge` decoding the
+line gave, or "rejected op".  A line whose prefix is in the memo is
+decoded by reading its `ts` alone, and its event holds that very Edge.
 
 The memo cannot change a result.  A prefix is a key only when the rest
-of the line is a JSON integer of at most 18 digits, a `}` and JSON's
-own whitespace, and the prefix does not end in a backslash, which would
-put the quote of `"ts"` inside a key string.  On a line that decodes
-cleanly, that final `}` then closes the top-level object, so `ts` is its
-last member, and JSON keeps the last of duplicate keys: the prefix
-fixes every field but `ts`.  Such a `ts` is never negative or out of
-range, so a hit is never an error; a hit on a rejected op counts it as
-a parse would.  A miss goes through `parse_event`, and only a line that
-decoded cleanly or was rejected enters the memo; an error never does.
-The memo's Edges hold Entities of the stream's intern table, and both
-are cleared when the table fills, so a hit yields the very Entity
-objects a parse of the line would.
+of the line is a JSON integer of at most 18 ASCII digits, a `}` and
+JSON's own whitespace, and the prefix does not end in a backslash, which
+would put the quote of `"ts"` inside a key string.  On a line that
+decodes cleanly, that final `}` then closes the top-level object, so
+`ts` is its last member, and JSON keeps the last of duplicate keys: the
+prefix fixes every field but `ts`.  Such a `ts` is never negative or out
+of range, and the rest of the line is ASCII, so a hit is never an error;
+a hit on a rejected op counts it as a parse would.  A miss goes through
+`parse_event`, and only a line that decoded cleanly or was rejected
+enters the memo; an error never does.  The memo's Edges hold Entities of
+the stream's intern table, and both are cleared when the table fills,
+so a hit yields the very Entity objects a parse of the line would.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -71,16 +72,17 @@ class WindowBatch:
 # bounds the table to some 20 MB; its memo holds as many prefixes at most.
 INTERN_LIMIT = 1 << 15
 
-_READ_BYTES = 1 << 16
 _TS_LIMIT = 1 << 63  # a ts must fit an int64
 # The end of a line whose prefix is a memo key: its last `"ts": `, a ts
 # that JSON reads as an int in [0, 10**18), below _TS_LIMIT, the `}` and
-# only JSON's whitespace (Python's \s would also take \f and \v, which
-# json.loads rejects).
-_TS_KEY = b'"ts": '
-_TS_TAIL = re.compile(rb'"ts": (0|[1-9][0-9]{0,17})\}[ \t\r\n]*\Z')
-_BACKSLASH = ord("\\")
+# only JSON's whitespace.  Python's \s would also take \f and \v, which
+# json.loads rejects, and \d digits that are not ASCII, which int() reads.
+_TS_KEY = '"ts": '
+_TS_TAIL = re.compile(r'"ts": (0|[1-9][0-9]{0,17})\}[ \t\r\n]*\Z')
 _REJECTED = ("rejected op",)  # memo value of a line whose op is rejected
+# JSON's \ud800 escape makes a string that no UTF-8 encoder takes; NodeIds
+# and alert files need one that it does.
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 # Field names and types of an entity's intern key, which leads with its
 # kind and the host of the event (ip entities ignore the host).
@@ -112,11 +114,12 @@ def _loads(line: str, lineno: int):
 
 
 def _as_int(value, name: str, lineno: int) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError("line %d: field %r is not an integer: %r" % (lineno, name, value),
-                         lineno) from None
+    if type(value) is not bool:  # JSON's true and false are not integers
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ParseError("line %d: field %r is not an integer: %r" % (lineno, name, value), lineno)
 
 
 def _fields(obj, lineno: int) -> Tuple[int, str, str, object, object]:
@@ -196,16 +199,23 @@ def _new_entity(key: tuple, lineno: int) -> Entity:
     kind = key[0]
     if kind == PROCESS:
         _, host, pid, tid, uid, name, cmdline = key
+        text = host + name + cmdline
         attrs = ProcessAttrs(pid=pid, tid=tid, uid=uid, name=name, cmdline=cmdline, host=host)
     elif kind == FILE:
         if not key[2]:
             raise ParseError("line %d: empty file path" % lineno, lineno)
+        text = key[1] + key[2]
         attrs = FileAttrs(path=key[2], host=key[1])
     else:
         for port in (key[2], key[4]):
             if not 0 <= port <= 65535:
                 raise ParseError("line %d: port %d out of range" % (lineno, port), lineno)
+        text = key[1] + key[3]
         attrs = IpAttrs(src_ip=key[1], src_port=key[2], dst_ip=key[3], dst_port=key[4])
+    if not text.isascii() and _SURROGATE.search(text):
+        i = next(i for i, v in enumerate(key) if type(v) is str and _SURROGATE.search(v))
+        raise ParseError("line %d: field %r holds a lone surrogate: %r"
+                         % (lineno, _KEY_FIELDS[kind][i][0], key[i]), lineno)
     return Entity(kind, attrs, entity_uuid(kind, attrs))
 
 
@@ -236,87 +246,66 @@ def parse_event(line: str, lineno: int = 0,
                              _entity(dst_obj, host, lineno, table)))
 
 
-def _line_batches(fh) -> Iterator[List[bytes]]:
-    """The raw lines of the binary input `fh`, those of each read as one
-    batch, so that a line is yielded as soon as a read returns it.
-
-    Lines end at "\\n", "\\r\\n" or "\\r", each read as "\\n", as in text
-    mode.  An OSError from a read propagates once every line read before
-    it has been yielded.
-    """
-    tail = b""
-    while True:
-        block = fh.read1(_READ_BYTES)
-        data = tail + block
-        if b"\r" in data:
-            # Keep a final "\r" back while more may come: its "\n"
-            # can be the first byte of the next block.
-            cut = len(data) - (bool(block) and data.endswith(b"\r"))
-            data = data[:cut].replace(b"\r\n", b"\n").replace(b"\r", b"\n") + data[cut:]
-        lines = data.splitlines(True)
-        tail = lines.pop() if lines and block and not lines[-1].endswith(b"\n") else b""
-        if lines:
-            yield lines
-        if not block:
-            return
-
-
 def read_events(path: str, counters: Optional[Dict[str, int]] = None) -> Iterator[RawEvent]:
-    """Yield RawEvents from a JSONL file ('-' for stdin).
+    """Yield RawEvents from a JSONL file ('-' for stdin), read as UTF-8
+    text with universal newlines.
 
     Entities are interned per stream, as in parse_event, and a line that
-    repeats an earlier one in all but its `ts` is decoded from the memo
-    (see the module docstring).  Lines with an unrecognized op are
-    skipped and counted under 'rejected_ops', and blank or whitespace-only
-    lines under 'blank_lines'; a malformed line raises
-    ParseError, and a failed read its OSError, once every event before
-    it has been yielded.  However the generator ends, it closes the file
-    it opened; stdin stays open.
+    repeats an earlier one in all but its `ts` is decoded from the memo.
+    Lines with an unrecognized op are skipped and counted under
+    'rejected_ops', and blank or whitespace-only lines under
+    'blank_lines'; a malformed line, one with a byte that is not UTF-8
+    included, raises ParseError, and a failed read its OSError, once
+    every event before it has been yielded.  However the generator ends,
+    it closes the file it opened; stdin stays open.
     """
     table: Dict[tuple, Entity] = {}
-    memo: Dict[bytes, object] = {}  # prefix -> Edge or _REJECTED
+    memo: Dict[str, object] = {}  # prefix -> Edge or _REJECTED
     match, memo_get = _TS_TAIL.match, memo.get
-    lineno = 0
-    with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
-        for lines in _line_batches(fh):
-            for raw in lines:
-                lineno += 1
-                at = raw.rfind(_TS_KEY)
-                tail = match(raw, at) if at > 0 and raw[at - 1] != _BACKSLASH else None
-                prefix = raw[:at] if tail else None
-                got = memo_get(prefix)
-                if got is not None:
-                    ts = int(tail[1])
-                else:
+    stdin = path == "-"
+    fh = (io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape")
+          if stdin else open(path, encoding="utf-8", errors="surrogateescape"))
+    try:
+        for lineno, line in enumerate(fh, 1):
+            at = line.rfind(_TS_KEY)
+            tail = match(line, at) if at > 0 and line[at - 1] != "\\" else None
+            prefix = line[:at] if tail else None
+            got = memo_get(prefix)
+            if got is not None:
+                ts = int(tail[1])
+            else:
+                if line.isspace():  # never a memo key
+                    if counters is not None:
+                        counters["blank_lines"] = counters.get("blank_lines", 0) + 1
+                    continue
+                if not line.isascii():  # an undecodable byte came in as a lone surrogate
                     try:
-                        line = raw.decode()
+                        line.encode(errors="surrogateescape").decode()
                     except UnicodeDecodeError as exc:
                         raise ParseError("line %d: not UTF-8: %s" % (lineno, exc),
                                          lineno) from None
-                    if not line or line.isspace():  # never a memo key
-                        if counters is not None:
-                            counters["blank_lines"] = counters.get("blank_lines", 0) + 1
-                        continue
-                    try:
-                        ev = parse_event(line, lineno, table)
-                        ts, got = ev.ts, ev.edge
-                    except RejectedEvent:
-                        got = _REJECTED
-                    # The table grows only on a line that names an entity new
-                    # to it, which no memo entry holds, so it clears on the
-                    # same lines warm or cold; the line that fills it stays
-                    # out of the emptied memo, as its entities are gone.
-                    if len(table) >= INTERN_LIMIT:
-                        table.clear()
+                try:
+                    ev = parse_event(line, lineno, table)
+                    ts, got = ev.ts, ev.edge
+                except RejectedEvent:
+                    got = _REJECTED
+                # The table grows only on a line that names an entity new
+                # to it, which no memo entry holds, so it clears on the
+                # same lines warm or cold; the line that fills it stays
+                # out of the emptied memo, as its entities are gone.
+                if len(table) >= INTERN_LIMIT:
+                    table.clear()
+                    memo.clear()
+                elif prefix is not None:
+                    if len(memo) >= INTERN_LIMIT:
                         memo.clear()
-                    elif prefix is not None:
-                        if len(memo) >= INTERN_LIMIT:
-                            memo.clear()
-                        memo[prefix] = got
-                if got is not _REJECTED:
-                    yield RawEvent(ts, got)
-                elif counters is not None:
-                    counters["rejected_ops"] = counters.get("rejected_ops", 0) + 1
+                    memo[prefix] = got
+            if got is not _REJECTED:
+                yield RawEvent(ts, got)
+            elif counters is not None:
+                counters["rejected_ops"] = counters.get("rejected_ops", 0) + 1
+    finally:
+        fh.detach() if stdin else fh.close()
 
 
 def window_stream(

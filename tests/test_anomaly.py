@@ -299,9 +299,10 @@ def _fresh_bundle():
 
 
 def _memos(bundle):
-    e = bundle.embedding
-    return [e._text_cache, e._sentence_memo, e._token_memo, e._kept_memo, e._gram_memo,
-            bundle.rows]
+    """Every dict the bundle's embedding holds but its trained rows, and the
+    bundle's row memo: each memo scoring keeps, those added later included."""
+    return [v for k, v in vars(bundle.embedding).items()
+            if isinstance(v, dict) and k not in ("words", "buckets")] + [bundle.rows]
 
 
 class _PlainTokens:

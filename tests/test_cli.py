@@ -284,6 +284,24 @@ def test_run_number_past_the_digit_limit_fails_cleanly(data_dir, model_dir, tmp_
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field,value", [("cmdline", "x\ud800y"), ("ts", True)],
+                         ids=["cmdline-surrogate", "ts-true"])
+def test_run_lone_surrogate_or_boolean_fails_cleanly(data_dir, model_dir, tmp_path, capsys,
+                                                     field, value):
+    with open(data_dir / "quiet" / "events.jsonl", encoding="utf-8") as fh:
+        line = json.loads(fh.readline())
+    proc = line["src"] if line["src"]["kind"] == "process" else line["dst"]
+    (line if field == "ts" else proc)[field] = value
+    stream = tmp_path / "events.jsonl"
+    stream.write_text(json.dumps(line) + "\n")
+    rc = main(["run", "--input", str(stream), "--model-dir", str(model_dir),
+               "--out", str(tmp_path / "out"), "--store-dir", str(tmp_path / "store")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: line 1: field %r " % field)
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_run_torn_store_record_fails_cleanly(data_dir, model_dir, tmp_path, capsys):
     store = tmp_path / "store"
     (store / "hopsets").mkdir(parents=True)

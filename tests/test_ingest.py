@@ -196,6 +196,8 @@ def test_window_seconds_must_be_positive():
     assert len(list(window_stream(_events([0, 1, 2]), 0.0006))) == 3  # 1 ms each
 
 
+_IP = {"kind": "ip", "src_ip": "10.0.0.1", "src_port": 5000, "dst_ip": "10.0.0.2",
+       "dst_port": 80}
 _MALFORMED = pytest.mark.parametrize("where,key,value", [
     (None, "ts", "abc"),
     ("src", "pid", "x"),
@@ -204,7 +206,17 @@ _MALFORMED = pytest.mark.parametrize("where,key,value", [
     ("dst", "path", ["a"]),
     (None, "host", ["h"]),
     (None, "ts", 1 << 63),
-], ids=["ts-abc", "pid-x", "src-str", "cmdline-int", "path-list", "host-list", "ts-int64"])
+    (None, "ts", True),
+    ("src", "pid", False),
+    (None, "dst", dict(_IP, src_port=True)),
+    ("src", "cmdline", "x\ud800y"),  # JSON-escaped lone surrogates
+    ("src", "name", "p\udcff"),
+    ("dst", "path", "/tmp/\udfff"),
+    (None, "host", "h\ud800"),
+    (None, "dst", dict(_IP, dst_ip="10.0.0.\ud800")),
+], ids=["ts-abc", "pid-x", "src-str", "cmdline-int", "path-list", "host-list", "ts-int64",
+        "ts-true", "pid-false", "port-true", "cmdline-surrogate", "name-surrogate",
+        "path-surrogate", "host-surrogate", "ip-surrogate"])
 
 
 def _malformed_line(where, key, value):
@@ -218,6 +230,19 @@ def test_parse_event_malformed_value_raises_parse_error(where, key, value):
     with pytest.raises(ParseError) as exc:
         parse_event(_malformed_line(where, key, value), 7)
     assert exc.value.lineno == 7
+
+
+@pytest.mark.parametrize("where,key,value,message", [
+    (None, "ts", True, "field 'ts' is not an integer: True"),
+    (None, "dst", dict(_IP, src_port=True), "field 'src_port' is not an integer: True"),
+    ("src", "name", "p\udcff", "field 'name' holds a lone surrogate: 'p\\udcff'"),
+    (None, "host", "h\ud800", "field 'host' holds a lone surrogate: 'h\\ud800'"),
+    (None, "dst", dict(_IP, dst_ip="\ud800"), "field 'dst_ip' holds a lone surrogate: "),
+], ids=["ts-true", "port-true", "name-surrogate", "host-surrogate", "ip-surrogate"])
+def test_booleans_and_lone_surrogates_name_their_field(where, key, value, message):
+    with pytest.raises(ParseError) as exc:
+        parse_event(_malformed_line(where, key, value), 7)
+    assert str(exc.value).startswith("line 7: " + message)
 
 
 @pytest.mark.parametrize("where,key", [(None, "ts"), ("src", "pid")])
@@ -348,6 +373,15 @@ def test_read_events_invalid_utf8_line_is_a_parse_error(tmp_path):
     assert str(err).startswith("line 2: not UTF-8: ")
 
 
+def _text_read_size(tmp_path):
+    """Characters a text-mode file reads at a time, from an ASCII file."""
+    p = tmp_path / "probe.txt"
+    p.write_text("")
+    with open(p, encoding="utf-8") as fh:
+        assert fh._CHUNK_SIZE % 256 == 0
+        return fh._CHUNK_SIZE
+
+
 def _fixed_width(line, width=256):
     """line with a padding field that makes it exactly width bytes, newline included."""
     obj = json.loads(line)
@@ -361,13 +395,9 @@ def _fixed_width(line, width=256):
 @_MALFORMED
 def test_parse_error_past_a_chunk_boundary_follows_every_earlier_event(tmp_path, where, key,
                                                                       value):
-    from provstp import ingest
-
-    # Lines of 256 bytes fill the reader's reads exactly, so its first
-    # batch is the lines of its first read and the bad line is the second
-    # line of the second batch.
-    assert ingest._READ_BYTES % 256 == 0
-    per_read = ingest._READ_BYTES // 256
+    # Lines of 256 characters fill the text reader's reads exactly, so the
+    # bad line is the second line of its second read.
+    per_read = _text_read_size(tmp_path) // 256
     good = [_fixed_width(_line(i, pid=i % 5, path="/tmp/f%d" % (i % 9)))
             for i in range(per_read + 1)]
     bad = _malformed_line(where, key, value)
@@ -382,17 +412,17 @@ def test_parse_error_past_a_chunk_boundary_follows_every_earlier_event(tmp_path,
 
 
 def test_line_endings_and_numbers_follow_text_mode(tmp_path):
-    from provstp import ingest
-
-    # A "\r\n" split between two reads, lone "\r" ends, blank lines, and a
-    # malformed line whose number and message count them all as text mode does.
+    # A "\r\n" split between two of the text reader's reads, lone "\r" ends,
+    # blank lines, and a malformed line whose number and message count them
+    # all as text mode does.
+    read_size = _text_read_size(tmp_path)
     head = _line(0) + "\r\n"
-    filler = _fixed_width(_line(1), ingest._READ_BYTES - len(head))[:-1] + "\r"
+    filler = _fixed_width(_line(1), read_size - len(head))[:-1] + "\r"
     body = ("\n" + _line(2) + "\r" + _line(3) + "\r\r\n \n" + _line(4) + "\r\n"
             + '{"ts": \r\n' + _line(5))
     p = tmp_path / "ev.jsonl"
     p.write_bytes((head + filler + body).encode())
-    assert len(head + filler) == ingest._READ_BYTES
+    assert len(head + filler) == read_size
     with open(p, "r", encoding="utf-8") as fh:
         text_lines = list(fh)
     assert len(text_lines) == 9 and text_lines[1].endswith("x\"}\n")
@@ -596,8 +626,9 @@ def test_decoder_faults_arrive_in_stream_order(tmp_path_factory, at, fault):
     p = tmp_path_factory.mktemp("fault") / "ev.jsonl"
     p.write_bytes(data)
 
-    def faulty_open(path, mode):
-        return io.BufferedReader(_FailingInput(data, len("".join(lines[:at])) + 10))
+    def faulty_open(path, encoding, errors):
+        return io.TextIOWrapper(io.BufferedReader(
+            _FailingInput(data, len("".join(lines[:at])) + 10)), encoding=encoding, errors=errors)
 
     def faulty_parse(line, lineno, table):
         if lineno == at + 1:
@@ -643,7 +674,8 @@ def test_a_line_repeated_but_for_its_ts_is_parsed_once(tmp_path, monkeypatch):
 # and lay it out in several ways.  A last line, which may be malformed,
 # can reuse a template too.
 _BAD_ENTITIES = [{"kind": "file", "path": ""},  # fails as it enters a table
-                 dict(_ENTITIES[5], dst_port=70000)]
+                 dict(_ENTITIES[5], dst_port=70000),
+                 dict(_ENTITIES[0], cmdline="x\ud800y")]  # a JSON-escaped lone surrogate
 _LAYOUTS = {
     "last": '{%(body)s, "ts": %(ts)s}',
     "trailing": '{%(body)s, "ts": %(ts)s} \t ',
@@ -676,7 +708,8 @@ def _memo_line(template, layout, ts):
         "body": json.dumps(obj, ensure_ascii=False)[1:-1],
         "tight": json.dumps(obj, ensure_ascii=False, separators=(",", ":"))[1:-1],
         "ts": ts}
-    return text.encode("utf-8", "surrogateescape")
+    # "\ud800" goes out as JSON's escape, "\udcff" as the byte 0xff
+    return text.replace("\ud800", "\\ud800").encode("utf-8", "surrogateescape")
 
 
 def _memo_outcome(path, warm):
@@ -695,7 +728,7 @@ def _memo_outcome(path, warm):
         mp.setattr(ingest, "INTERN_LIMIT", 4)
         mp.setattr(ingest, "parse_event", parse)
         if not warm:
-            mp.setattr(ingest, "_TS_TAIL", re.compile(rb"(?!)"))
+            mp.setattr(ingest, "_TS_TAIL", re.compile(r"(?!)"))
         return _read_outcome(path), sizes
 
 
@@ -715,6 +748,8 @@ _P, _F = _ENTITIES[0], _ENTITIES[3]  # a process and a file
          picks=[(0, "escaped-key", "9"), (0, "escaped-key", "8")], last=None)
 @example(templates=[("write", "h1", False, _P, _F)], picks=[(0, "last", "1")],
          last=(0, "vertical-tab", "2"))
+@example(templates=[("write", "h1", False, _P, _F)], picks=[(0, "last", "1")],
+         last=(("write", "h1", False, _BAD_ENTITIES[2], _F), "last", "2"))
 @example(templates=[("write", "h1", False, _P, _F)], picks=[(0, "last", "1")],
          last=(0, "last", "-1"))
 @example(templates=[("write", "h1", False, _P, _F)], picks=[(0, "last", "1")],
