@@ -56,8 +56,11 @@ def hopset_from_doc(doc: dict) -> Hopset:
 
 class EvictionStore:
     """Directory of hopset JSON records, one per stored hopset.  A record
-    is written to a temporary file and renamed into hopsets/, so a crash
-    never leaves a torn one."""
+    is compact ASCII JSON from the C encoder, its keys in the order
+    `hopset_to_doc` builds them, so its bytes are still a function of the
+    hopset; records in the older indented, key-sorted form load as well.
+    A record is written to a temporary file and renamed into hopsets/, so
+    a crash never leaves a torn one."""
 
     def __init__(self, root: str):
         self.root = root
@@ -74,17 +77,17 @@ class EvictionStore:
 
     def store(self, h: Hopset) -> str:
         hid = hopset_id(h)
-        with open(self.tmp_path, "w", encoding="utf-8") as fh:
-            doc = dict(hopset_to_doc(h), age=h.age)
-            fh.write(json.dumps(doc, sort_keys=True, indent=2))
+        doc = dict(hopset_to_doc(h), age=h.age)
+        with open(self.tmp_path, "wb") as fh:
+            fh.write(json.dumps(doc, separators=(",", ":")).encode("ascii"))
         os.replace(self.tmp_path, self._record_path(hid))
         return hid
 
     def load(self, hid: str) -> Hopset:
         path = self._record_path(hid)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return hopset_from_doc(json.load(fh))
+            with open(path, "rb") as fh:
+                return hopset_from_doc(json.loads(fh.read()))
         except (ValueError, KeyError, TypeError) as exc:
             raise IOError("corrupted store record %s: %s" % (path, exc)) from exc
 

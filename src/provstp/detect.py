@@ -248,7 +248,7 @@ def _node_label(nid: str, info: dict) -> str:
         detail = "%s:%s" % (attrs.get("dst_ip", "?"), attrs.get("dst_port", "?"))
     else:
         detail = nid[:8]
-    return "%s\\n%s" % (kind, _dot_escape(str(detail))[:60])
+    return "%s\\n%s" % (kind, _dot_escape(str(detail)[:60]))
 
 
 def alert_to_dot(a: dict) -> str:
@@ -273,8 +273,7 @@ def emit_alert(a: dict, out_dir: str) -> List[str]:
     json_path = os.path.join(out_dir, "alert-%s.json" % a["id"])
     dot_path = os.path.join(out_dir, "alert-%s.dot" % a["id"])
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(a, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(a, sort_keys=True, indent=2) + "\n")
     with open(dot_path, "w", encoding="utf-8") as fh:
         fh.write(alert_to_dot(a))
     return [json_path, dot_path]

@@ -10,7 +10,9 @@ kept-token tuple to vector, and raw text to vector, the last filled from
 the second on a miss.  Each memo stores the plain function's own output,
 and a text's vector is a function of its kept tokens alone, as
 `embed_sentence` filters before it averages, so a hit is exact by
-construction.  Each memo holds at most MEMO_LIMIT entries.
+construction.  Each memo holds at most MEMO_LIMIT entries.  A miss
+computes each mean and weighted sum as one numpy reduction, with the
+bits of `np.mean` and of adding the terms one by one.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ class EmbeddingModel:
                 parts.append(b)
         if not parts:
             return np.zeros(self.dimension)
-        return np.mean(parts, axis=0)
+        return np.add.reduce(parts, axis=0) / len(parts)
 
     def embed_text(self, raw: str) -> np.ndarray:
         """embed_sentence(self, sentenceize(raw)), memoized by raw text and
@@ -280,9 +282,11 @@ def embed_sentence(m: EmbeddingModel, s: Sentence) -> np.ndarray:
 
 
 def _mean_vector(m: EmbeddingModel, toks: Sequence[str]) -> np.ndarray:
+    """np.mean of the token vectors, bit for bit: np.mean is this very
+    reduction and division, behind a slower wrapper."""
     if not toks:
         return np.zeros(m.dimension)
-    return np.mean([m.token_vector(t) for t in toks], axis=0)
+    return np.add.reduce([m.token_vector(t) for t in toks], axis=0) / len(toks)
 
 
 def idf_weight(p: int, p_f: int) -> float:
@@ -319,13 +323,15 @@ def process_vector(cmd_vec: np.ndarray,
     """V_p = w_c * V_c + sum(w_f * V_f) + sum(w_n * V_n).
 
     w_c is the mean of all file and IP weights; with no touched files or
-    IPs the command line stands alone with weight 1.
+    IPs the command line stands alone with weight 1.  The terms are added
+    in that order, one after another, as `v = v + w * vec` would.
     """
-    weights = [w for _, w in file_items] + [w for _, w in ip_items]
+    items = list(file_items) + list(ip_items)
+    weights = [w for _, w in items]
     w_c = (sum(weights) / len(weights)) if weights else 1.0
-    v = w_c * cmd_vec
-    for vec, w in file_items:
-        v = v + w * vec
-    for vec, w in ip_items:
-        v = v + w * vec
-    return v
+    terms = np.array([w_c] + weights)[:, None] * np.array([cmd_vec] + [v for v, _ in items])
+    if terms.shape[1] == 1:  # numpy would add a lone column pairwise
+        return np.add.accumulate(terms)[-1]
+    # Along axis 0 of a C-ordered array numpy adds whole rows in order,
+    # onto its start value: -0.0 + x is x, where 0.0 + -0.0 is 0.0.
+    return np.add.reduce(terms, axis=0, initial=-0.0)

@@ -100,17 +100,20 @@ _scan_json = json.JSONDecoder().scan_once
 def _loads(line: str, lineno: int):
     """json.loads(line), minus its wrapper's cost on a line that holds one
     value and ends at its newline; every other line goes through json.loads,
-    so the result or the error is the same."""
+    so the result or the error is the same.  A line nested past the
+    interpreter's recursion limit is a ParseError too."""
     try:
-        obj, end = _scan_json(line, 0)
-        if end == len(line) or line[end:] == "\n":
-            return obj
-    except (StopIteration, ValueError):
-        pass
-    try:
+        try:
+            obj, end = _scan_json(line, 0)
+            if end == len(line) or line[end:] == "\n":
+                return obj
+        except (StopIteration, ValueError):
+            pass
         return json.loads(line)
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ParseError("line %d: invalid JSON: %s" % (lineno, exc), lineno) from None
+    except RecursionError:
+        raise ParseError("line %d: invalid JSON: nested too deeply" % lineno, lineno) from None
 
 
 def _as_int(value, name: str, lineno: int) -> int:

@@ -194,20 +194,47 @@ def test_evict_then_lookup_restores_equal(tmp_path):
     audit(c)
 
 
+# A record is compact ASCII JSON in hopset_to_doc's key order, age last.
+PINNED_RECORD = (
+    b'{"terminals":["t0"],"members":{'
+    b'"f1":{"as":0.30000000000000004,"hops":1,"iv":10.3,'
+    b'"attrs":{"kind":"File","path":"/tmp/caf\\u00e9"}},'
+    b'"f2":{"as":1e-310,"hops":1,"iv":10.0,"attrs":{}},'
+    b'"t0":{"as":1.0,"hops":0,"iv":100.0,"attrs":{}}},'
+    b'"edges":[["f1","t0","read"],["f2","t0","read"]],"has":1.3,"age":0}')
+
+
 def test_store_record_bytes_and_removing_a_missing_record(tmp_path):
     store = EvictionStore(str(tmp_path / "store"))
     h = make_hopset("t0", {"f1": 0.1 + 0.2, "f2": 1e-310},
                     attrs={"f1": {"kind": "File", "path": "/tmp/café"}})
     hid = store.store(h)
-    want = tmp_path / "json_dump.json"
-    with open(want, "w", encoding="utf-8") as fh:
-        record = dict(hopset_to_doc(h), age=h.age)
-        json.dump(record, fh, sort_keys=True, indent=2)
     with open(os.path.join(store.hopset_dir, hid + ".json"), "rb") as fh:
-        assert fh.read() == want.read_bytes()
+        assert fh.read() == PINNED_RECORD
     store.remove(hid)
     store.remove(hid)  # already gone: nothing to do
     assert store.ids() == []
+
+
+def test_indented_sorted_record_reopens_and_restores(tmp_path):
+    """Stores once wrote each record with indent=2 and sorted keys; such a
+    store still opens, indexes its nodes and restores its hopsets."""
+    h = make_hopset("t0", {"f1": 0.1 + 0.2, "f2": 1e-310},
+                    attrs={"f1": {"kind": "File", "path": "/tmp/café"}}, ops={"f2": ""})
+    h.age = 4
+    original = copy.deepcopy(h)
+    hid = hopset_id(h)
+    hopsets = tmp_path / "store" / "hopsets"
+    hopsets.mkdir(parents=True)
+    with open(hopsets / (hid + ".json"), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(dict(hopset_to_doc(h), age=h.age), sort_keys=True, indent=2))
+    c = fresh_cache(tmp_path)
+    assert c.node_index == {"t0": hid, "f1": hid, "f2": hid}
+    assert c.store.load(hid).age == 4
+    got, where = lookup(c, "f2")
+    assert where == "restored" and same_content(got, original)
+    assert c.store.ids() == []
+    audit(c)
 
 
 def test_lookup_absent(tmp_path):

@@ -302,6 +302,32 @@ def test_run_lone_surrogate_or_boolean_fails_cleanly(data_dir, model_dir, tmp_pa
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_run_deeply_nested_line_fails_cleanly(data_dir, model_dir, tmp_path, capsys):
+    with open(data_dir / "quiet" / "events.jsonl", encoding="utf-8") as fh:
+        good = fh.readline()
+    depth = 200_000
+    stream = tmp_path / "events.jsonl"
+    stream.write_text(good + '{"ts": ' + "[" * depth + "]" * depth + "}\n")
+    rc = main(["run", "--input", str(stream), "--model-dir", str(model_dir),
+               "--out", str(tmp_path / "out"), "--store-dir", str(tmp_path / "store")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "run failed: line 2: invalid JSON: nested too deeply\n"
+
+
+def test_two_runs_leave_the_same_store_bytes(data_dir, model_dir, tmp_path, capsys):
+    stores = []
+    for name in ("a", "b"):
+        rc = main(["run", "--input", str(data_dir / "webshell" / "events.jsonl"),
+                   "--model-dir", str(model_dir), "--out", str(tmp_path / name / "out"),
+                   "--store-dir", str(tmp_path / name / "store"), "--cache-capacity", "0"])
+        assert rc == 0
+        stores.append(dir_manifest(tmp_path / name / "store" / "hopsets"))
+    assert stores[0] and stores[0] == stores[1]
+    for record in stores[0].values():  # compact ASCII JSON
+        assert record == json.dumps(json.loads(record), separators=(",", ":")).encode("ascii")
+
+
 def test_run_torn_store_record_fails_cleanly(data_dir, model_dir, tmp_path, capsys):
     store = tmp_path / "store"
     (store / "hopsets").mkdir(parents=True)

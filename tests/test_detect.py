@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from provstp import detect
@@ -409,6 +409,29 @@ def test_alert_dot_statements():
     assert edges == 2
     assert "doublecircle" in dot
     assert 'label="write"' in dot
+
+
+_LABEL_RE = re.compile(r'\[label="((?:[^"\\]|\\.)*)"')
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text('a"\\é', min_size=55, max_size=70), st.integers(0, 3))
+@example('a' * 59 + '"', 1)
+@example('a' * 59 + '\\' + 'b', 1)
+def test_dot_labels_cut_before_escaping(detail, kind_at):
+    """A quote or backslash at character 60 of a label still leaves every
+    statement of the .dot file well formed."""
+    attrs = [{"kind": "process", "name": detail, "cmdline": "x"},
+             {"kind": "process", "name": "", "cmdline": detail},
+             {"kind": "file", "path": detail},
+             {"kind": "ip", "dst_ip": detail, "dst_port": 1}][kind_at]
+    shown = (detail + ":1" if kind_at == 3 else detail)[:60]
+    h = Hopset({"p1"}, {"p1": MemberRec(1.0, 0, 1.0, attrs)}, {}, has=1.0)
+    a = dict(hopset_to_doc(h), id="000001-abcdef012345", window_index=1, grubbs_statistic=2.0)
+    dot = alert_to_dot(a)
+    assert check_dot_grammar(dot) == (1, 0)
+    label = _LABEL_RE.search(dot).group(1)
+    assert re.sub(r"\\(.)", r"\1", label) == attrs["kind"] + "n" + shown
 
 
 def test_emit_alert_files(tmp_path):

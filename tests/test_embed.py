@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from provstp.embed import (
@@ -14,6 +14,9 @@ from provstp.embed import (
     EmbedConfig,
     EmbeddingModel,
     IdfTable,
+    _fnv1a,
+    _mean_vector,
+    _ngrams,
     embed_sentence,
     filter_gibberish,
     idf_weight,
@@ -268,6 +271,90 @@ def test_process_vector_weighted_sum():
     e2 = np.array([0.0, 1.0])
     pv = process_vector(e2, [(e1, 2.0), (e1, 4.0)], [])
     assert np.allclose(pv, 3.0 * e2 + 6.0 * e1)
+
+
+def _rows(k, d, seed, low, span):
+    """k rows of d floats whose magnitudes run from 2**low up to 2**(low + span):
+    subnormals at low = -1074, past 1e300 at low + span = 997; with a few
+    zeros of either sign."""
+    rng = np.random.RandomState(seed)
+    x = np.ldexp(rng.standard_normal((k, d)), rng.randint(low, low + span + 1, (k, d)))
+    x[rng.rand(k, d) < 0.05] = 0.0
+    x[rng.rand(k, d) < 0.05] = -0.0
+    return x
+
+
+_ROW_SHAPES = st.tuples(st.integers(0, 64), st.sampled_from([1, 2, 3, 8, 64]),
+                        st.integers(0, 2 ** 32 - 1), st.integers(-1074, 900),
+                        st.integers(0, 100))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _loop_process_vector(cmd_vec, file_items, ip_items):
+    """The weighted sum one term at a time: the oracle for process_vector."""
+    weights = [w for _, w in file_items] + [w for _, w in ip_items]
+    w_c = (sum(weights) / len(weights)) if weights else 1.0
+    v = w_c * cmd_vec
+    for vec, w in file_items:
+        v = v + w * vec
+    for vec, w in ip_items:
+        v = v + w * vec
+    return v
+
+
+class _RowModel:
+    """Token vectors given row by row, with no memo."""
+
+    def __init__(self, rows):
+        self.dimension = rows.shape[1]
+        self.rows = {"t%d" % i: row for i, row in enumerate(rows)}
+
+    def token_vector(self, token):
+        return self.rows[token]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ROW_SHAPES)
+def test_mean_vector_is_np_mean_bit_for_bit(shape):
+    k, d, seed, low, span = shape
+    rows = _rows(k, d, seed, low, span)
+    m = _RowModel(rows)
+    toks = ["t%d" % i for i in range(k)]
+    want = np.mean([m.token_vector(t) for t in toks], axis=0) if k else np.zeros(d)
+    assert _same_bits(_mean_vector(m, toks), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ROW_SHAPES, st.text("abcdefgh", max_size=23), st.booleans())
+def test_token_vector_is_np_mean_bit_for_bit(shape, token, has_word):
+    k, d, seed, low, span = shape
+    cfg = EmbedConfig(dimension=d, buckets=1 << 18)
+    ids = sorted({_fnv1a(g) % cfg.buckets for g in _ngrams(token)})
+    rows = _rows(len(ids) + 1, d, seed, low, span)
+    words = {token: rows[-1]} if has_word else {}
+    buckets = {b: rows[i] for i, b in enumerate(ids[:k])}  # only some grams have a bucket
+    m = EmbeddingModel(cfg, words, buckets)
+    parts = ([words[token]] if has_word else []) + [
+        buckets[b] for b in (_fnv1a(g) % cfg.buckets for g in _ngrams(token)) if b in buckets]
+    want = np.mean(parts, axis=0) if parts else np.zeros(d)
+    assert _same_bits(m._token_vector(token), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROW_SHAPES, st.integers(0, 64), st.integers(-1074, 1000))
+def test_process_vector_is_the_sequential_sum_bit_for_bit(shape, n_files, w_exp):
+    k, d, seed, low, span = shape
+    rows = _rows(k + 1, d, seed, low, span)
+    weights = np.abs(_rows(1, k, seed ^ 1, min(w_exp, 976), 24)[0]).tolist()
+    items = list(zip(rows[1:], weights))
+    file_items, ip_items = items[:n_files], items[n_files:]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan must match too
+        got = process_vector(rows[0], file_items, ip_items)
+        want = _loop_process_vector(rows[0], file_items, ip_items)
+    assert _same_bits(got, want)
 
 
 def negative_table(probs, size=NEG_TABLE_SIZE):

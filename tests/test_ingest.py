@@ -253,6 +253,21 @@ def test_parse_event_number_past_the_digit_limit_is_a_parse_error(where, key):
     assert exc.value.lineno == 7 and str(exc.value).startswith("line 7: invalid JSON: ")
 
 
+DEPTH = 200_000
+
+
+@pytest.mark.parametrize("line", [
+    "[" * DEPTH + "]" * DEPTH,
+    " " + "[" * DEPTH + "]" * DEPTH + "\n",  # not at column 0: json.loads decodes it
+    _line(0).replace('"/tmp/a"', '{"a": ' * DEPTH + "1" + "}" * DEPTH),
+], ids=["array", "indented", "in-a-field"])
+def test_parse_event_deeply_nested_line_is_a_parse_error(line):
+    with pytest.raises(ParseError) as exc:
+        parse_event(line, 7)
+    assert exc.value.lineno == 7
+    assert str(exc.value) == "line 7: invalid JSON: nested too deeply"
+
+
 def test_parse_event_sets_node_ids():
     from provstp.model import entity_uuid
 
